@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .risk import (
     select_removed_class,
     variance_ratio,
 )
-from .train import TrainConfig, select_hyperparams
+from .train import TrainConfig, TrainingDiverged, select_hyperparams
 
 ESTIMATORS = ("sv", "semi1", "semi2")
 METRIC_FOR_SURROGATE = {"at": "absolute", "it": "zero_one", "ls": "squared", "lad": "absolute"}
@@ -164,20 +164,8 @@ def run_benchmark(
     errors: list[dict] = []
     for t in range(1, trials + 1):
         trial_seed = seed + t
-        trial_split = SplitSpec(
-            split_spec.n_labeled,
-            split_spec.n_classes,
-            split_spec.unlabeled_fraction,
-            trial_seed,
-            split_spec.standardize,
-        )
-        trial_config = TrainConfig(
-            config.learning_rate,
-            config.patience,
-            config.weight_decay,
-            config.max_epochs,
-            trial_seed,
-        )
+        trial_split = replace(split_spec, seed=trial_seed)
+        trial_config = replace(config, seed=trial_seed)
         for method in methods:
             try:
                 res = run_trial(
@@ -195,7 +183,7 @@ def run_benchmark(
                     strategy,
                     bandwidths,
                 )
-            except Exception as exc:  # noqa: BLE001 - errors become rows
+            except (ValueError, TrainingDiverged) as exc:  # training failures become rows
                 record = {
                     "dataset": dataset_name,
                     "method": method,

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import bench
 from .core import METRIC_NAMES, evaluate_metric
 from .data import SplitSpec, load_csv, make_splits, merge_classes
-from .losses import TaskSurrogate
+from .losses import BINARY_KINDS, TaskSurrogate
 from .models import load_model, save_model
 from .train import TrainConfig, select_hyperparams
 
@@ -28,7 +28,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surrogate", choices=("at", "it", "ls", "lad"), default="at")
     p.add_argument(
         "--binary-loss",
-        choices=("logistic", "squared", "double-hinge"),
+        choices=tuple(kind.replace("_", "-") for kind in BINARY_KINDS),
         default="logistic",
     )
     p.add_argument("--model", choices=("linear", "kernel"), default="linear")

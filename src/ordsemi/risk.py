@@ -16,6 +16,10 @@ clamps it at zero.  Gradients follow the sign-flip rule when the clamp is
 active: the step descends on the negated bracket instead of a zero gradient,
 so the estimator can recover instead of stalling.
 
+:class:`RiskEvaluator` stacks every row an estimator reads, a validation
+set's included, into one block, so a training step's objective, gradients
+and validation risk come from one margin matmul and one surrogate call.
+
 Also here: class-prior estimation, removed-class selection strategies, the
 log-barrier penalty that keeps thresholds ordered, and the bootstrap
 variance-ratio experiment.
@@ -25,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import OrdinalDataset, OrdinalModel
+from .core import OrdinalDataset, OrdinalModel, margins_matrix
 from .losses import TaskSurrogate, surrogate_values, surrogate_values_grads
 from .models import ScoreModel, with_weights
 
@@ -121,8 +126,8 @@ def threshold_penalty(thresholds: np.ndarray, mu: float) -> float:
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.size < 2:
         return 0.0
-    gaps = np.diff(thresholds)
-    if np.any(gaps <= 0.0):
+    gaps = thresholds[1:] - thresholds[:-1]
+    if (gaps <= 0.0).any():
         return math.inf
     return mu * max(0.0, float(-np.log(gaps).sum()))
 
@@ -133,8 +138,8 @@ def threshold_penalty_grad(thresholds: np.ndarray, mu: float) -> np.ndarray:
     grad = np.zeros_like(thresholds)
     if thresholds.size < 2 or mu == 0.0:
         return grad
-    gaps = np.diff(thresholds)
-    if np.any(gaps <= 0.0):
+    gaps = thresholds[1:] - thresholds[:-1]
+    if (gaps <= 0.0).any():
         raise ValueError("thresholds are not strictly increasing; penalty is infinite")
     if -np.log(gaps).sum() <= 0.0:
         return grad  # clamped at zero
@@ -144,76 +149,155 @@ def threshold_penalty_grad(thresholds: np.ndarray, mu: float) -> np.ndarray:
     return grad
 
 
-class RiskEvaluator:
-    """Precomputed feature matrices for repeated risk/gradient evaluation.
+# Index of each estimator term, in the RiskBreakdown field order.
+_L1, _U, _L2, _SV = range(4)
 
-    The feature maps depend only on the score model's structure (kind,
-    centers, bandwidth), so a trainer can build one evaluator per dataset
-    and query it with fresh parameter vectors every step.  With gamma = 0
-    the unlabeled features are never computed or read.
+
+class Evaluation(NamedTuple):
+    """One stacked call's results: the training part's combined risk (no order
+    penalty), its gradients (on the negated bracket when the clamp is
+    active), and the validation part's combined risk (None without one)."""
+
+    risk: float
+    grad_w: np.ndarray
+    grad_t: np.ndarray
+    val_risk: float | None
+
+
+class RiskEvaluator:
+    """Risk and gradient evaluation over one stacked row block.
+
+    The block holds the dataset's labeled rows under their own labels and,
+    for the LU terms, under the removed class k, plus the unlabeled pool
+    under k.  An optional validation set adds a second part stacked the same
+    way; it shares the pool rows when its pool is the same.  The block is
+    built once, so each evaluation is one margin matmul and one surrogate
+    call.  Each part's four terms are weighted sums over row ranges, listed
+    once in ``sums``; breakdowns and gradients use the same weights.  With
+    gamma = 0 and no ``need_lu`` the LU rows are left out.
     """
 
-    def __init__(self, dataset: OrdinalDataset, spec: RiskSpec, score_model: ScoreModel, need_lu: bool | None = None):
-        if dataset.n_classes != spec.n_classes:
-            raise ValueError("spec priors length does not match the dataset classes")
-        if score_model.input_dim != dataset.n_features:
-            raise ValueError("score model input dim does not match the dataset")
+    def __init__(self, dataset: OrdinalDataset, spec: RiskSpec, score_model: ScoreModel,
+                 need_lu: bool = False, val_dataset: OrdinalDataset | None = None):
         self.spec = spec
-        self.n_thresholds = dataset.n_classes - 1
+        self.need_lu = need_lu or spec.gamma > 0.0
+        k = spec.removed_class
+        blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (features, labels)
+
+        def add_rows(phi, ys) -> slice:
+            start = sum(len(b[0]) for b in blocks)
+            blocks.append((phi, np.broadcast_to(ys, phi.shape[:1])))
+            return slice(start, start + len(phi))
+
+        # Per part, (term, rows, weights); a float weight 1/n is a plain
+        # mean, summed and divided as np.mean does, so that the supervised
+        # term equals supervised_risk exactly.
+        self.sums: list[list[tuple[int, slice, float | np.ndarray]]] = []
+        for part, ds in enumerate([dataset] if val_dataset is None else [dataset, val_dataset]):
+            if ds.n_classes != spec.n_classes:
+                raise ValueError("spec priors length does not match the dataset classes")
+            if score_model.input_dim != ds.n_features:
+                raise ValueError("score model input dim does not match the dataset")
+            phi = score_model.features(ds.labeled_x)
+            own = add_rows(phi, ds.labeled_y)
+            self.sums.append([(_SV, own, 1.0 / ds.n_labeled)])
+            if self.need_lu:
+                counts = ds.class_counts()
+                missing = [y for y in range(1, ds.n_classes + 1) if y != k and counts[y - 1] == 0]
+                if missing:
+                    raise ValueError(
+                        f"classes {missing} have no labeled data but are kept by the "
+                        f"LU estimator (removed class is {k})"
+                    )
+                if ds.n_unlabeled < 1:
+                    raise ValueError("the LU estimator needs at least one unlabeled point")
+                # per-row weight pi_y / n_y; zero for rows of the removed class
+                coeff = spec.priors[ds.labeled_y - 1] / counts[ds.labeled_y - 1]
+                coeff[ds.labeled_y == k] = 0.0
+                if part == 0 or not np.array_equal(ds.unlabeled_x, dataset.unlabeled_x):
+                    pool = add_rows(score_model.features(ds.unlabeled_x), k)
+                self.sums[part] += [
+                    (_L1, own, coeff),
+                    (_U, pool, 1.0 / ds.n_unlabeled),
+                    (_L2, add_rows(phi, k), coeff),
+                ]
+        self.phi = np.vstack([b[0] for b in blocks])
+        self.labels = np.concatenate([b[1] for b in blocks])
         self.ys = dataset.labeled_y
-        self.n_labeled = dataset.n_labeled
-        self.phi_labeled = score_model.features(dataset.labeled_x)
-        self.need_lu = spec.gamma > 0.0 if need_lu is None else need_lu
+        self.phi_labeled = self.phi[: dataset.n_labeled]
 
-        if self.need_lu:
-            k = spec.removed_class
-            counts = dataset.class_counts()
-            missing = [
-                y for y in range(1, dataset.n_classes + 1) if y != k and counts[y - 1] == 0
-            ]
-            if missing:
-                raise ValueError(
-                    f"classes {missing} have no labeled data but are kept by the "
-                    f"LU estimator (removed class is {k})"
-                )
-            if dataset.n_unlabeled < 1:
-                raise ValueError("the LU estimator needs at least one unlabeled point")
-            # per-row coefficient pi_y / n_y; zero for rows of the removed class
-            coeff = spec.priors[self.ys - 1] / counts[self.ys - 1]
-            coeff[self.ys == k] = 0.0
-            self.lu_coeff = coeff
-            self.phi_unlabeled = score_model.features(dataset.unlabeled_x)
-            self.n_unlabeled = dataset.n_unlabeled
+        # Training-part row weights of gamma * (l1 + s * (u - l2)) +
+        # (1 - gamma) * sv: s = 1, then the clamp's sign flip s = -1.
+        g = spec.gamma
+        n_train = max(rows.stop for _, rows, _ in self.sums[0])
+        self._grad_weights = [np.zeros(n_train), np.zeros(n_train)]
+        for term, rows, w in self.sums[0]:
+            for weights, s in zip(self._grad_weights, (1.0, -1.0)):
+                weights[rows] += {_L1: g, _U: g * s, _L2: -g * s, _SV: 1.0 - g}[term] * w
 
-    def _margins(self, phi: np.ndarray, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        return thresholds[None, :] - (phi @ weights)[:, None]
+    def _margins(self, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        # Filled one threshold at a time: broadcasting the short threshold
+        # row against the score column is several times slower.
+        scores = self.phi @ weights
+        margins = np.empty((scores.size, thresholds.size))
+        for j, t in enumerate(thresholds):
+            np.subtract(t, scores, out=margins[:, j])
+        return margins
+
+    def _terms(self, values: np.ndarray) -> np.ndarray:
+        """Each part's four terms from the block's surrogate values."""
+        terms = np.zeros((len(self.sums), 4))
+        for part, sums in enumerate(self.sums):
+            for term, rows, w in sums:
+                v = values[rows]
+                terms[part, term] = v.sum() / v.size if isinstance(w, float) else w @ v
+        return terms
+
+    def _combine(self, terms: np.ndarray, gamma: float) -> RiskBreakdown:
+        l1, u, l2, sv = (float(x) for x in terms)
+        bracket = max(0.0, u - l2) if self.spec.non_negative else u - l2
+        return RiskBreakdown(l1, u, l2, sv, gamma * (l1 + bracket) + (1.0 - gamma) * sv)
+
+    def _values_only(self, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        margins = self._margins(weights, thresholds)
+        return self._terms(surrogate_values(self.spec.surrogate, margins, self.labels))[0]
 
     def breakdown(self, weights: np.ndarray, thresholds: np.ndarray) -> RiskBreakdown:
-        """Combined-estimator breakdown at the given parameters."""
-        return self._breakdown(weights, thresholds, self.spec.gamma)
+        """Combined-estimator breakdown on the training part."""
+        return self._combine(self._values_only(weights, thresholds), self.spec.gamma)
 
     def lu_breakdown(self, weights: np.ndarray, thresholds: np.ndarray) -> RiskBreakdown:
         """Labeled-unlabeled breakdown alone (the gamma = 1 total)."""
         if not self.need_lu:
             raise ValueError("evaluator was built without the labeled-unlabeled terms")
-        return self._breakdown(weights, thresholds, 1.0)
+        return self._combine(self._values_only(weights, thresholds), 1.0)
 
-    def _breakdown(self, weights, thresholds, gamma: float) -> RiskBreakdown:
-        spec = self.spec
-        m_lab = self._margins(self.phi_labeled, weights, thresholds)
-        vals_y = surrogate_values(spec.surrogate, m_lab, self.ys)
-        sv = float(np.mean(vals_y))
-        if not self.need_lu:
-            return RiskBreakdown(0.0, 0.0, 0.0, sv, sv)
-        l1 = float(self.lu_coeff @ vals_y)
-        m_unl = self._margins(self.phi_unlabeled, weights, thresholds)
-        u = float(np.mean(surrogate_values(spec.surrogate, m_unl, spec.removed_class)))
-        l2 = float(self.lu_coeff @ surrogate_values(spec.surrogate, m_lab, spec.removed_class))
-        bracket = u - l2
-        if spec.non_negative:
-            bracket = max(0.0, bracket)
-        total = gamma * (l1 + bracket) + (1.0 - gamma) * sv
-        return RiskBreakdown(l1, u, l2, sv, total)
+    def evaluate(self, weights: np.ndarray, thresholds: np.ndarray) -> Evaluation:
+        """Training risk, its gradients and the validation risk in one call."""
+        margins = self._margins(weights, thresholds)
+        values, grads = surrogate_values_grads(self.spec.surrogate, margins, self.labels)
+        terms = self._terms(values)
+        train = self._combine(terms[0], self.spec.gamma)
+        clamped = self.spec.non_negative and train.unlabeled - train.bias_correction < 0.0
+        row_weights = self._grad_weights[clamped]
+        # margins = thresholds - phi @ w, so d/dw picks up -phi and
+        # d/dthreshold_j is the j-th margin gradient itself.
+        n = row_weights.size
+        grads = grads[:n]
+        grad_w = -self.phi[:n].T @ (row_weights * (grads @ np.ones(grads.shape[1])))
+        val = self._combine(terms[1], self.spec.gamma).total if len(terms) > 1 else None
+        return Evaluation(train.total, grad_w, grads.T @ row_weights, val)
+
+    def penalized(
+        self, point: Evaluation, thresholds: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """(objective, d/dweights, d/dthresholds): ``point`` plus the order
+        penalty at ``thresholds``; ``ValueError`` if they are unordered."""
+        penalty = threshold_penalty(thresholds, self.spec.mu)
+        if not math.isfinite(penalty):
+            raise ValueError("thresholds are not strictly increasing; penalty is infinite")
+        grad_t = point.grad_t + threshold_penalty_grad(thresholds, self.spec.mu)
+        return point.risk + penalty, point.grad_w, grad_t
 
     def objective_grad(
         self, weights: np.ndarray, thresholds: np.ndarray
@@ -224,60 +308,7 @@ class RiskEvaluator:
         the clamped bracket; when the clamp is active the gradient instead
         descends on the negated bracket (sign-flip rule).
         """
-        spec = self.spec
-        psi = spec.surrogate
-        m_lab = self._margins(self.phi_labeled, weights, thresholds)
-        vals_y, grads_y = surrogate_values_grads(psi, m_lab, self.ys)
-        sv = float(np.mean(vals_y))
-        gw_sv, gt_sv = self._param_grads(self.phi_labeled, grads_y, np.full(self.n_labeled, 1.0 / self.n_labeled))
-
-        penalty = threshold_penalty(thresholds, spec.mu)
-        if not math.isfinite(penalty):
-            raise ValueError("thresholds are not strictly increasing; penalty is infinite")
-        gt_pen = threshold_penalty_grad(thresholds, spec.mu)
-
-        if not self.need_lu:
-            value = sv + penalty
-            return value, gw_sv, gt_sv + gt_pen
-
-        k = spec.removed_class
-        l1 = float(self.lu_coeff @ vals_y)
-        gw_l1, gt_l1 = self._param_grads(self.phi_labeled, grads_y, self.lu_coeff)
-
-        m_unl = self._margins(self.phi_unlabeled, weights, thresholds)
-        vals_u, grads_u = surrogate_values_grads(psi, m_unl, k)
-        u = float(np.mean(vals_u))
-        gw_u, gt_u = self._param_grads(
-            self.phi_unlabeled, grads_u, np.full(self.n_unlabeled, 1.0 / self.n_unlabeled)
-        )
-
-        vals_k, grads_k = surrogate_values_grads(psi, m_lab, k)
-        l2 = float(self.lu_coeff @ vals_k)
-        gw_l2, gt_l2 = self._param_grads(self.phi_labeled, grads_k, self.lu_coeff)
-
-        bracket = u - l2
-        gw_br = gw_u - gw_l2
-        gt_br = gt_u - gt_l2
-        reported = bracket
-        if spec.non_negative:
-            reported = max(0.0, bracket)
-            if bracket < 0.0:
-                gw_br = -gw_br
-                gt_br = -gt_br
-
-        g = spec.gamma
-        value = g * (l1 + reported) + (1.0 - g) * sv + penalty
-        grad_w = g * (gw_l1 + gw_br) + (1.0 - g) * gw_sv
-        grad_t = g * (gt_l1 + gt_br) + (1.0 - g) * gt_sv + gt_pen
-        return value, grad_w, grad_t
-
-    @staticmethod
-    def _param_grads(phi: np.ndarray, margin_grads: np.ndarray, coeff: np.ndarray):
-        # margins = thresholds - phi @ w, so d/dw picks up -phi and
-        # d/dthreshold_j is the j-th margin gradient itself.
-        grad_w = -phi.T @ (coeff * margin_grads.sum(axis=1))
-        grad_t = margin_grads.T @ coeff
-        return grad_w, grad_t
+        return self.penalized(self.evaluate(weights, thresholds), thresholds)
 
 
 def supervised_risk(
@@ -288,8 +319,6 @@ def supervised_risk(
     labeled_y = np.asarray(labeled_y, dtype=int)
     if labeled_x.ndim != 2 or labeled_x.shape[0] == 0:
         raise ValueError("labeled set must be non-empty")
-    from .core import margins_matrix
-
     m = margins_matrix(model, labeled_x)
     return float(np.mean(surrogate_values(psi, m, labeled_y)))
 

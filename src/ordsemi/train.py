@@ -5,12 +5,16 @@ applies to the score weights only; pulling thresholds toward zero would fight
 the ordering penalty.  The validation signal is the same combined estimator
 evaluated on held-out labeled data plus all unlabeled data, so unlabeled data
 also stabilizes model selection.
+
+A fit stacks its training and validation rows into one ``RiskEvaluator``
+block and evaluates each parameter point once: the evaluation after a step
+gives the epoch's validation risk and the next step's gradients.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,10 +74,10 @@ def fit(
     Stops once the validation risk has not improved for ``patience``
     consecutive epochs, or at ``max_epochs``.  Raises
     :class:`TrainingDiverged` if the objective leaves the reals and
-    ``ValueError`` if the initial thresholds are not strictly increasing.
+    ``ValueError`` if an epoch would step from thresholds that are not
+    strictly increasing (the initial ones included).
     """
-    train_eval = RiskEvaluator(train_ds, spec, model0.score)
-    val_eval = RiskEvaluator(val_ds, spec, model0.score)
+    evaluator = RiskEvaluator(train_ds, spec, model0.score, val_dataset=val_ds)
     weights = model0.score.weights.astype(float).copy()
     thresholds = model0.thresholds.astype(float).copy()
 
@@ -84,8 +88,9 @@ def fit(
     best_epoch = 0
     epoch = 0
 
+    point = evaluator.evaluate(weights, thresholds)
     for epoch in range(1, config.max_epochs + 1):
-        objective, grad_w, grad_t = train_eval.objective_grad(weights, thresholds)
+        objective, grad_w, grad_t = evaluator.penalized(point, thresholds)
         if not np.isfinite(objective):
             raise TrainingDiverged(
                 f"objective became {objective} at epoch {epoch}; "
@@ -95,7 +100,8 @@ def fit(
         weights = weights - config.learning_rate * (grad_w + config.weight_decay * weights)
         thresholds = thresholds - config.learning_rate * grad_t
 
-        val = val_eval.breakdown(weights, thresholds).total
+        point = evaluator.evaluate(weights, thresholds)
+        val = point.val_risk
         val_curve.append((epoch, val))
         if val < best_val:
             best_val = val
@@ -177,45 +183,24 @@ def select_hyperparams(
     train_part = _subset(dataset, tr_idx)
     val_part = _subset(dataset, va_idx)
 
-    best: tuple[float, int] | None = None  # (val risk, flat grid index)
-    grid = [(bw, wd) for bw in grid_bw for wd in weight_decays]
-    for i, (bw, wd) in enumerate(grid):
+    def fit_point(part: OrdinalDataset, bw: float | None, wd: float) -> FitReport:
         model0 = init_model(
             model_kind,
             dataset.n_features,
             dataset.n_classes,
-            centers=train_part.labeled_x if model_kind == "kernel" else None,
+            centers=part.labeled_x if model_kind == "kernel" else None,
             bandwidth=bw,
             seed=config.seed,
         )
-        report = fit(
-            train_part,
-            val_part,
-            spec,
-            TrainConfig(
-                config.learning_rate, config.patience, wd, config.max_epochs, config.seed
-            ),
-            model0,
-        )
+        return fit(part, val_part, spec, replace(config, weight_decay=wd), model0)
+
+    best: tuple[float, int] | None = None  # (val risk, flat grid index)
+    grid = [(bw, wd) for bw in grid_bw for wd in weight_decays]
+    for i, (bw, wd) in enumerate(grid):
+        report = fit_point(train_part, bw, wd)
         if best is None or report.best_val < best[0]:
             best = (report.best_val, i)
 
     best_bw, best_wd = grid[best[1]]
-    model0 = init_model(
-        model_kind,
-        dataset.n_features,
-        dataset.n_classes,
-        centers=dataset.labeled_x if model_kind == "kernel" else None,
-        bandwidth=best_bw,
-        seed=config.seed,
-    )
-    refit = fit(
-        dataset,
-        val_part,
-        spec,
-        TrainConfig(
-            config.learning_rate, config.patience, best_wd, config.max_epochs, config.seed
-        ),
-        model0,
-    )
+    refit = fit_point(dataset, best_bw, best_wd)
     return best_bw, best_wd, refit

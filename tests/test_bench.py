@@ -191,6 +191,22 @@ class TestFailureRows:
         assert len(error_lines) == 2
 
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only training failures become rows; a bug stops the run
+        import ordsemi.bench as bench_mod
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken trial")
+
+        monkeypatch.setattr(bench_mod, "run_trial", broken)
+        table = synthetic_ordinal_table(120, 3, 3, seed=2)
+        with pytest.raises(TypeError, match="broken trial"):
+            run_benchmark(
+                table, "toy", ["sv-linear"], AT_LOG, "absolute", trials=1, seed=0,
+                split_spec=SplitSpec(12, 3, 0.5, seed=0), config=FAST,
+            )
+
+
 class TestSupervisedFirewall:
     def test_sv_results_unchanged_by_poisoned_unlabeled(self):
         # after the split, the supervised pipeline must never read unlabeled

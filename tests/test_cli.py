@@ -66,6 +66,15 @@ class TestTrain:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["metric"] == "MSE"
 
+    def test_hinge_binary_loss(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "model.txt"
+        code = main([
+            "train", "--data", str(toy_csv), "--method", "semi2-linear",
+            "--binary-loss", "hinge", "--out", str(out), *FAST_FLAGS,
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out.strip())["value"] >= 0
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "gone.csv")])
         assert code != 0

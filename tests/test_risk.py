@@ -8,7 +8,7 @@ import pytest
 
 import ordsemi.risk as risk_mod
 from ordsemi.core import OrdinalDataset, OrdinalModel
-from ordsemi.losses import TaskSurrogate
+from ordsemi.losses import TaskSurrogate, surrogate_values_grads
 from ordsemi.models import LinearScore, init_model
 from ordsemi.risk import (
     RiskEvaluator,
@@ -529,3 +529,85 @@ class TestVarianceRatio:
         ds = self.pool()
         with pytest.raises(ValueError):
             variance_ratio(ds, make_spec(ds), random_model(21), 10, (1000, 100))
+
+
+def _reference_part(ds, spec, phi_of, w, th):
+    """Each estimator term as (value, d/dw, d/dthresholds), one surrogate call per term."""
+    psi, k = spec.surrogate, spec.removed_class
+    ys = ds.labeled_y
+    counts = ds.class_counts()
+    c = spec.priors[ys - 1] / counts[ys - 1]
+    c[ys == k] = 0.0
+    phi_l, phi_u = phi_of(ds.labeled_x), phi_of(ds.unlabeled_x)
+
+    def term(phi, labels, weights):
+        vals, grads = surrogate_values_grads(psi, th[None, :] - (phi @ w)[:, None], labels)
+        return weights @ vals, -phi.T @ (weights * grads.sum(axis=1)), grads.T @ weights
+
+    n, n_u = ds.n_labeled, ds.n_unlabeled
+    return {
+        "sv": term(phi_l, ys, np.full(n, 1.0 / n)),
+        "l1": term(phi_l, ys, c),
+        "l2": term(phi_l, k, c),
+        "u": term(phi_u, k, np.full(n_u, 1.0 / n_u)),
+    }
+
+
+def _reference_combined(terms, spec):
+    """gamma * (l1 + clamp(u - l2)) + (1 - gamma) * sv, its sign-flip gradient,
+    and whether the clamp was active."""
+    g = spec.gamma
+    bracket = terms["u"][0] - terms["l2"][0]
+    clamped = spec.non_negative and bracket < 0.0
+    flip = -1.0 if clamped else 1.0
+    reported = max(0.0, bracket) if spec.non_negative else bracket
+    value = g * (terms["l1"][0] + reported) + (1 - g) * terms["sv"][0]
+    grads = [
+        g * (terms["l1"][i] + flip * (terms["u"][i] - terms["l2"][i])) + (1 - g) * terms["sv"][i]
+        for i in (1, 2)
+    ]
+    return value, grads[0], grads[1], clamped
+
+
+class TestStackedEvaluation:
+    """The one-call evaluation against a term-by-term reference."""
+
+    @pytest.mark.parametrize("shared_pool", [True, False])
+    @pytest.mark.parametrize("nn", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize(
+        "psi", [AT_LOG, TaskSurrogate("it", "squared"), TaskSurrogate("ls"), TaskSurrogate("lad")],
+        ids=lambda p: p.kind,
+    )
+    def test_matches_term_by_term_reference(self, psi, gamma, nn, shared_pool):
+        # an unlabeled pool drawn around the removed class's labeled rows
+        # makes the LU bracket negative at some of the models below
+        labeled = small_dataset(30, n_per_class=4)
+        noise = np.random.default_rng(3).normal(0.0, 0.1, size=(12, 3))
+        pool = np.repeat(labeled.labeled_x[labeled.labeled_y == 1], 3, axis=0) + noise
+        train = OrdinalDataset(labeled.labeled_x, labeled.labeled_y, pool, 3)
+        other = small_dataset(31, n_per_class=2, n_unlabeled=7)
+        val_pool = pool if shared_pool else other.unlabeled_x
+        val = OrdinalDataset(other.labeled_x, other.labeled_y, val_pool, 3)
+        spec = make_spec(train, k=1, gamma=gamma, nn=nn, psi=psi)
+        clamped_seen = []
+        for seed in range(12):
+            model = random_model(seed, scale=1.5)
+            w, th = model.score.weights, model.thresholds
+            ev = RiskEvaluator(train, spec, model.score, val_dataset=val)
+            point = ev.evaluate(w, th)
+            value, gw, gt, clamped = _reference_combined(
+                _reference_part(train, spec, model.score.features, w, th), spec
+            )
+            val_value = _reference_combined(
+                _reference_part(val, spec, model.score.features, w, th), spec
+            )[0]
+            assert point.risk == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(point.grad_w, gw, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(point.grad_t, gt, rtol=0, atol=1e-12)
+            assert point.val_risk == pytest.approx(val_value, abs=1e-12)
+            # the values-only path reads the same terms
+            assert ev.breakdown(w, th).total == point.risk
+            clamped_seen.append(clamped)
+        if nn and gamma > 0:
+            assert any(clamped_seen) and not all(clamped_seen)

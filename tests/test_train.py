@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ordsemi.risk as risk_mod
 from ordsemi.core import OrdinalDataset, evaluate_metric
 from ordsemi.losses import TaskSurrogate
 from ordsemi.models import init_model
@@ -136,6 +137,47 @@ class TestFit:
         config = TrainConfig(learning_rate=1e4, patience=50, max_epochs=50, seed=7)
         with pytest.raises((TrainingDiverged, ValueError)):
             fit(ds, ds, spec, config, init_model("linear", 3, 3))
+
+
+class TestFitEvaluations:
+    @pytest.mark.parametrize("gamma", [0.0, 0.8])
+    def test_one_surrogate_call_per_epoch(self, monkeypatch, gamma):
+        calls = {"values_grads": [], "values": []}
+        for name in calls:
+            original = getattr(risk_mod, f"surrogate_{name}")
+
+            def counted(psi, margins, ys, original=original, name=name):
+                calls[name].append(np.shape(margins)[0])
+                return original(psi, margins, ys)
+
+            monkeypatch.setattr(risk_mod, f"surrogate_{name}", counted)
+        ds = gaussian_dataset(9, n_per_class=6, n_unlabeled=40)
+        other = gaussian_dataset(19, n_per_class=3)
+        val = OrdinalDataset(other.labeled_x, other.labeled_y, ds.unlabeled_x, 3)
+        spec = spec_for(ds, gamma=gamma)
+        report = fit(ds, val, spec, TrainConfig(max_epochs=30, seed=9), init_model("linear", 3, 3))
+        epochs = report.stopped_epoch
+        assert len(calls["values_grads"]) == epochs + 1
+        assert calls["values"] == []
+        # labeled rows under their own labels (and under k), the shared pool once
+        rows = 18 + 9 if gamma == 0.0 else 2 * (18 + 9) + 40
+        assert set(calls["values_grads"]) == {rows}
+
+    def test_unordered_step_raises_only_when_used(self):
+        # ls moves only the first threshold; one large step carries it past
+        # the second.  Validation scores the unordered point; the epoch that
+        # would step from it raises.
+        rng = np.random.default_rng(12)
+        ds = OrdinalDataset(
+            rng.normal(size=(30, 2)), np.array([1] * 28 + [2, 3]), rng.normal(size=(10, 2)), 3
+        )
+        spec = RiskSpec(TaskSurrogate("ls"), 1, estimate_priors(ds), gamma=0.0, mu=0.0)
+        model0 = init_model("linear", 2, 3)
+        with pytest.warns(UserWarning, match="not strictly increasing"):
+            report = fit(ds, ds, spec, TrainConfig(learning_rate=1.0, max_epochs=1), model0)
+        assert report.stopped_epoch == 1
+        with pytest.raises(ValueError, match="penalty is infinite"):
+            fit(ds, ds, spec, TrainConfig(learning_rate=1.0, max_epochs=2), model0)
 
 
 class TestSelectHyperparams:
