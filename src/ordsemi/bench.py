@@ -244,12 +244,12 @@ def summarize(results: list[TrialResult], errors: list[dict] | None = None) -> l
 
 
 def write_summary_csv(rows: list[SummaryRow], handle) -> None:
-    handle.write("dataset,method,surrogate,metric,mean,stderr,n_trials,t_vs_sv\n")
+    handle.write("dataset,method,surrogate,metric,mean,stderr,n_trials,t_vs_sv,n_failed\n")
     for r in rows:
         t = "" if r.t_vs_sv is None else repr(r.t_vs_sv)
         handle.write(
             f"{r.dataset},{r.method},{r.surrogate},{r.metric},"
-            f"{r.mean!r},{r.stderr!r},{r.n_trials},{t}\n"
+            f"{r.mean!r},{r.stderr!r},{r.n_trials},{t},{r.n_failed}\n"
         )
 
 
@@ -271,17 +271,14 @@ def run_variance_experiment(
     generator; the thresholds start evenly spaced.  Rows are
     (surrogate, dataset, ratio).
     """
-    splits = make_splits(table, split_spec)
-    train = splits.train
+    train = make_splits(table, split_spec).train
     rows = []
     for s in surrogates:
         surrogate = TaskSurrogate(s, binary)
         priors = estimate_priors(train)
         k = select_removed_class(train.class_counts(), strategy)
         spec = RiskSpec(surrogate, k, priors, gamma=1.0, mu=0.0, non_negative=False)
-        model = init_model(
-            "linear", train.n_features, train.n_classes, seed=seed, weight_scale=1.0
-        )
+        model = init_model("linear", train.n_features, train.n_classes, seed=seed, weight_scale=1.0)
         ratio = variance_ratio(train, spec, model, resamples, sizes, seed=seed)
         rows.append((s, dataset_name, ratio))
         if sink is not None:

@@ -28,7 +28,7 @@ variance-ratio experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -258,9 +258,13 @@ class RiskEvaluator:
         bracket = max(0.0, u - l2) if self.spec.non_negative else u - l2
         return RiskBreakdown(l1, u, l2, sv, gamma * (l1 + bracket) + (1.0 - gamma) * sv)
 
-    def _values_only(self, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    def values(self, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """Surrogate value of every block row; ``sums`` gives each term's rows."""
         margins = self._margins(weights, thresholds)
-        return self._terms(surrogate_values(self.spec.surrogate, margins, self.labels))[0]
+        return surrogate_values(self.spec.surrogate, margins, self.labels)
+
+    def _values_only(self, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        return self._terms(self.values(weights, thresholds))[0]
 
     def breakdown(self, weights: np.ndarray, thresholds: np.ndarray) -> RiskBreakdown:
         """Combined-estimator breakdown on the training part."""
@@ -292,12 +296,19 @@ class RiskEvaluator:
         self, point: Evaluation, thresholds: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """(objective, d/dweights, d/dthresholds): ``point`` plus the order
-        penalty at ``thresholds``; ``ValueError`` if they are unordered."""
-        penalty = threshold_penalty(thresholds, self.spec.mu)
+        penalty at ``thresholds``; ``ValueError`` if they are unordered.  One
+        pass over the gaps gives :func:`threshold_penalty` and its gradient."""
+        mu, gaps = self.spec.mu, thresholds[1:] - thresholds[:-1]
+        barrier = math.inf if (gaps <= 0.0).any() else float(-np.log(gaps).sum())
+        penalty = mu * max(0.0, barrier)
         if not math.isfinite(penalty):
             raise ValueError("thresholds are not strictly increasing; penalty is infinite")
-        grad_t = point.grad_t + threshold_penalty_grad(thresholds, self.spec.mu)
-        return point.risk + penalty, point.grad_w, grad_t
+        grad_t = np.zeros_like(thresholds)
+        if mu != 0.0 and not barrier <= 0.0:  # a NaN barrier is not clamped either
+            inv = mu / gaps
+            grad_t[:-1] += inv
+            grad_t[1:] -= inv
+        return point.risk + penalty, point.grad_w, point.grad_t + grad_t
 
     def objective_grad(
         self, weights: np.ndarray, thresholds: np.ndarray
@@ -319,8 +330,7 @@ def supervised_risk(
     labeled_y = np.asarray(labeled_y, dtype=int)
     if labeled_x.ndim != 2 or labeled_x.shape[0] == 0:
         raise ValueError("labeled set must be non-empty")
-    m = margins_matrix(model, labeled_x)
-    return float(np.mean(surrogate_values(psi, m, labeled_y)))
+    return float(np.mean(surrogate_values(psi, margins_matrix(model, labeled_x), labeled_y)))
 
 
 def lu_risk(model: OrdinalModel, dataset: OrdinalDataset, spec: RiskSpec) -> RiskBreakdown:
@@ -344,8 +354,7 @@ def risk_grad(
     :meth:`RiskEvaluator.objective_grad` for the clamp handling.
     """
     ev = RiskEvaluator(dataset, spec, model.score)
-    _, grad_w, grad_t = ev.objective_grad(model.score.weights, model.thresholds)
-    return grad_w, grad_t
+    return ev.objective_grad(model.score.weights, model.thresholds)[1:]
 
 
 def variance_ratio(
@@ -363,33 +372,40 @@ def variance_ratio(
     same labeled draw.  Priors are re-estimated per draw, the clamp is off,
     and draws missing a kept class are rejected and redrawn.  A ratio below 1
     means the unlabeled data stabilizes the risk estimate.
+
+    The model is fixed, so every pool row's surrogate values are computed
+    once per call; each resample reweights its rows' cached values, with the
+    same arithmetic as :func:`lu_risk` and :func:`supervised_risk`.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples to estimate a variance")
     n_lab, n_unl = sizes
     if n_lab > dataset.n_labeled or n_unl > dataset.n_unlabeled:
         raise ValueError("dataset is smaller than the requested resample sizes")
+    if n_unl < 1:
+        raise ValueError("the LU estimator needs at least one unlabeled point")
+    ev = RiskEvaluator(dataset, spec, model.score, need_lu=True)
+    values = ev.values(model.score.weights, model.thresholds)
+    rows = {term: values[r] for term, r, _ in ev.sums[0]}
+    own, unl, own_k = rows[_SV], rows[_U], rows[_L2]  # own label; pool and labeled under k
     rng = np.random.default_rng(seed)
-    k = spec.removed_class
-    lu_vals = np.empty(resamples)
-    sv_vals = np.empty(resamples)
+    kept = np.delete(np.arange(1, dataset.n_classes + 1), spec.removed_class - 1)
+    lu_vals, sv_vals = np.empty((2, resamples))
     for r in range(resamples):
         for _ in range(100):
             lab_idx = rng.integers(0, dataset.n_labeled, size=n_lab)
             ys = dataset.labeled_y[lab_idx]
             counts = np.bincount(ys, minlength=dataset.n_classes + 1)[1:]
-            kept = np.delete(np.arange(1, dataset.n_classes + 1), k - 1)
             if np.all(counts[kept - 1] > 0):
                 break
         else:
             raise ValueError("could not draw a labeled resample covering all kept classes")
         unl_idx = rng.integers(0, dataset.n_unlabeled, size=n_unl)
-        sub = OrdinalDataset(
-            dataset.labeled_x[lab_idx], ys, dataset.unlabeled_x[unl_idx], dataset.n_classes
-        )
-        sub_spec = replace(spec, priors=estimate_priors(sub), non_negative=False)
-        lu_vals[r] = lu_risk(model, sub, sub_spec).total
-        sv_vals[r] = supervised_risk(model, sub.labeled_x, sub.labeled_y, spec.surrogate)
+        coeff = (counts / counts.sum())[ys - 1] / counts[ys - 1]  # re-estimated pi_y / n_y
+        coeff[ys == spec.removed_class] = 0.0
+        lab, pool = own[lab_idx], unl[unl_idx]
+        lu_vals[r] = coeff @ lab + (pool.sum() / n_unl - coeff @ own_k[lab_idx])
+        sv_vals[r] = np.mean(lab)
     var_sv = float(np.var(sv_vals, ddof=1))
     if var_sv <= 0.0:
         raise ValueError("supervised risk variance is zero (degenerate resamples)")

@@ -117,8 +117,19 @@ class TestSummarize:
         with path.open("w") as handle:
             write_summary_csv(summarize(self.results()), handle)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "dataset,method,surrogate,metric,mean,stderr,n_trials,t_vs_sv"
+        assert lines[0] == "dataset,method,surrogate,metric,mean,stderr,n_trials,t_vs_sv,n_failed"
         assert len(lines) == 3
+
+    def test_csv_counts_failed_trials(self, tmp_path):
+        errors = [{"dataset": "toy", "method": "sv-linear", "surrogate": "at",
+                   "metric": "MAE", "error": "boom", "seed": 9}]
+        path = tmp_path / "summary.csv"
+        with path.open("w") as handle:
+            write_summary_csv(summarize(self.results(), errors), handle)
+        header, *rows = path.read_text().strip().splitlines()
+        assert header.split(",")[-1] == "n_failed"
+        failed = {row.split(",")[1]: row.split(",")[-1] for row in rows}
+        assert failed == {"semi2-linear": "0", "sv-linear": "1"}
 
 
 class TestRunBenchmark:

@@ -132,6 +132,6 @@ class TestBench:
         assert {r["method"] for r in rows} == {"sv-linear", "semi2-linear"}
         summary = out.with_suffix(".summary.csv")
         header = summary.read_text().splitlines()[0]
-        assert header == "dataset,method,surrogate,metric,mean,stderr,n_trials,t_vs_sv"
+        assert header == "dataset,method,surrogate,metric,mean,stderr,n_trials,t_vs_sv,n_failed"
         assert main(args) == 0
         assert out.read_bytes() == first

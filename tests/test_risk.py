@@ -530,6 +530,52 @@ class TestVarianceRatio:
         with pytest.raises(ValueError):
             variance_ratio(ds, make_spec(ds), random_model(21), 10, (1000, 100))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["at", "it", "ls", "lad"])
+    def test_equals_per_resample_reference(self, kind, k):
+        # four labeled draws often miss a kept class, so the rejection loop redraws
+        ds = self.pool()
+        spec = make_spec(ds, k=k, nn=True, psi=TaskSurrogate(kind, "logistic"))
+        model = random_model(21, scale=1.0)
+        expected, redraws = _reference_variance_ratio(ds, spec, model, 40, (4, 50), seed=7)
+        assert redraws > 0
+        assert variance_ratio(ds, spec, model, 40, (4, 50), seed=7) == expected
+
+    def test_no_unlabeled_draw_errors(self):
+        ds = self.pool()
+        with pytest.raises(ValueError, match="unlabeled"):
+            variance_ratio(ds, make_spec(ds), random_model(21), 10, (20, 0))
+
+    def test_pool_missing_kept_class_errors(self):
+        ds = self.pool()
+        keep = ds.labeled_y != 3
+        ds = OrdinalDataset(ds.labeled_x[keep], ds.labeled_y[keep], ds.unlabeled_x, 3)
+        spec = RiskSpec(AT_LOG, 2, np.array([0.5, 0.5, 0.0]), gamma=1.0, mu=0.0)
+        with pytest.raises(ValueError, match="kept"):
+            variance_ratio(ds, spec, random_model(21), 10, (20, 100))
+
+
+def _reference_variance_ratio(ds, spec, model, resamples, sizes, seed):
+    """variance_ratio one resample at a time: a sub-dataset per draw, scored by
+    lu_risk (re-estimated priors, clamp off) and supervised_risk.  Also
+    returns how many draws the rejection loop threw away."""
+    rng = np.random.default_rng(seed)
+    kept = [y for y in range(1, ds.n_classes + 1) if y != spec.removed_class]
+    lu, sv, redraws = [], [], 0
+    for _ in range(resamples):
+        lab_idx = rng.integers(0, ds.n_labeled, size=sizes[0])
+        while not all(np.any(ds.labeled_y[lab_idx] == y) for y in kept):
+            redraws += 1
+            lab_idx = rng.integers(0, ds.n_labeled, size=sizes[0])
+        unl_idx = rng.integers(0, ds.n_unlabeled, size=sizes[1])
+        sub = OrdinalDataset(
+            ds.labeled_x[lab_idx], ds.labeled_y[lab_idx], ds.unlabeled_x[unl_idx], ds.n_classes
+        )
+        sub_spec = replace(spec, priors=estimate_priors(sub), non_negative=False)
+        lu.append(lu_risk(model, sub, sub_spec).total)
+        sv.append(supervised_risk(model, sub.labeled_x, sub.labeled_y, spec.surrogate))
+    return float(np.var(lu, ddof=1)) / float(np.var(sv, ddof=1)), redraws
+
 
 def _reference_part(ds, spec, phi_of, w, th):
     """Each estimator term as (value, d/dw, d/dthresholds), one surrogate call per term."""
