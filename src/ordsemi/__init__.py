@@ -5,47 +5,12 @@ of unlabeled inputs: the combined risk estimator stays unbiased for the task
 surrogate risk while the unlabeled data shrinks its variance.
 """
 
-from .core import (
-    OrdinalDataset,
-    OrdinalModel,
-    absolute_error_from_margins,
-    evaluate_metric,
-    margins,
-    predict,
-    predict_batch,
-    task_loss,
-)
-from .data import RawTable, SplitSpec, load_csv, make_splits, merge_classes
-from .losses import (
-    TaskSurrogate,
-    binary_grad,
-    binary_value,
-    linear_odd_constant,
-    task_surrogate_grad,
-    task_surrogate_value,
-)
-from .models import (
-    KernelScore,
-    LinearScore,
-    init_model,
-    load_model,
-    median_bandwidth_candidates,
-    save_model,
-    score,
-)
-from .risk import (
-    RiskBreakdown,
-    RiskSpec,
-    estimate_priors,
-    lu_risk,
-    risk_grad,
-    select_removed_class,
-    semi_risk,
-    supervised_risk,
-    threshold_penalty,
-    variance_ratio,
-)
-from .train import FitReport, TrainConfig, fit, select_hyperparams
+from .core import OrdinalDataset, OrdinalModel, evaluate_metric, predict_batch
+from .data import RawTable, SplitSpec, TrainTestSplit, load_csv, make_splits, merge_classes
+from .losses import TaskSurrogate
+from .models import KernelScore, LinearScore, load_model, save_model
+from .risk import RiskSpec, estimate_priors, select_removed_class
+from .train import FitReport, TrainConfig, select_hyperparams
 
 __all__ = [
     "FitReport",
@@ -54,40 +19,21 @@ __all__ = [
     "OrdinalDataset",
     "OrdinalModel",
     "RawTable",
-    "RiskBreakdown",
     "RiskSpec",
     "SplitSpec",
     "TaskSurrogate",
     "TrainConfig",
-    "absolute_error_from_margins",
-    "binary_grad",
-    "binary_value",
+    "TrainTestSplit",
     "estimate_priors",
     "evaluate_metric",
-    "fit",
-    "init_model",
-    "linear_odd_constant",
     "load_csv",
     "load_model",
-    "lu_risk",
     "make_splits",
-    "margins",
-    "median_bandwidth_candidates",
     "merge_classes",
-    "predict",
     "predict_batch",
-    "risk_grad",
     "save_model",
-    "score",
     "select_hyperparams",
     "select_removed_class",
-    "semi_risk",
-    "supervised_risk",
-    "task_loss",
-    "task_surrogate_grad",
-    "task_surrogate_value",
-    "threshold_penalty",
-    "variance_ratio",
 ]
 
 __version__ = "0.1.0"

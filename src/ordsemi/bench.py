@@ -206,7 +206,9 @@ def summarize(results: list[TrialResult], errors: list[dict] | None = None) -> l
     """Mean and standard error per (dataset, method, surrogate, metric) group.
 
     The t column compares each method against the sv baseline with the same
-    model kind via Welch's statistic; positive favors the method.
+    model kind via Welch's statistic; positive favors the method.  A group
+    whose every trial failed still gets a row: n_trials 0, its n_failed,
+    NaN mean and stderr, and no t.
     """
     errors = errors or []
     groups: dict[tuple, list[float]] = {}
@@ -224,13 +226,13 @@ def summarize(results: list[TrialResult], errors: list[dict] | None = None) -> l
         stats[key] = (float(arr.mean()), stderr, arr.size)
 
     rows = []
-    for key in sorted(stats):
+    for key in sorted(stats.keys() | failed.keys()):
         dataset, method, surrogate, metric = key
-        mean, stderr, n = stats[key]
+        mean, stderr, n = stats.get(key, (math.nan, math.nan, 0))
         _, model_kind = parse_method(method)
         base = stats.get((dataset, f"sv-{model_kind}", surrogate, metric))
         t_stat = None
-        if base is not None and method != f"sv-{model_kind}":
+        if n and base is not None and method != f"sv-{model_kind}":
             denom = math.sqrt(base[1] ** 2 + stderr**2)
             if denom > 0:
                 t_stat = (base[0] - mean) / denom

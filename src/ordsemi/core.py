@@ -99,54 +99,29 @@ class OrdinalDataset:
         return np.bincount(self.labeled_y, minlength=self.n_classes + 1)[1:]
 
 
-def _check_input_dim(model: OrdinalModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.input_dim:
-        raise ValueError(f"input has shape {x.shape}, expected ({model.input_dim},)")
-    return x
-
-
-def predict(model: OrdinalModel, x: np.ndarray) -> int:
-    """Label for one input: 1 + number of thresholds strictly below the score.
+def predict_batch(model: OrdinalModel, inputs: np.ndarray) -> np.ndarray:
+    """Label per row of ``inputs``: 1 + thresholds strictly below its score.
 
     A tie score == threshold does not cross the threshold.
     """
-    x = _check_input_dim(model, x)
-    f = float(score_batch(model.score, x[None, :])[0])
-    return 1 + int(np.sum(f > model.thresholds))
-
-
-def predict_batch(model: OrdinalModel, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized ``predict`` over the rows of ``inputs``."""
     inputs = np.asarray(inputs, dtype=float)
     f = score_batch(model.score, inputs)
     return 1 + np.sum(f[:, None] > model.thresholds[None, :], axis=1)
 
 
-def margins(model: OrdinalModel, x: np.ndarray) -> np.ndarray:
-    """Threshold margins for one input: thresholds minus the score.
-
-    Entry i is negative exactly when the score clears threshold i, so the
-    margin signs determine the predicted label.
-    """
-    x = _check_input_dim(model, x)
-    f = float(score_batch(model.score, x[None, :])[0])
-    return model.thresholds - f
-
-
 def margins_matrix(model: OrdinalModel, inputs: np.ndarray) -> np.ndarray:
-    """Margins for every row of ``inputs``; shape (n, n_classes - 1)."""
+    """Threshold margins, thresholds minus the score, per row of ``inputs``.
+
+    Shape (n, n_classes - 1).  Entry i is negative exactly when the score
+    clears threshold i, so the margin signs determine the predicted label.
+    """
     inputs = np.asarray(inputs, dtype=float)
     f = score_batch(model.score, inputs)
     return model.thresholds[None, :] - f[:, None]
 
 
-def task_loss(kind: str, predicted: int, y: int) -> float:
-    """Evaluation loss between a predicted label and the true label."""
-    return float(task_loss_batch(kind, np.asarray([predicted]), np.asarray([y]))[0])
-
-
 def task_loss_batch(kind: str, predicted: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluation loss per pair of predicted and true labels."""
     predicted = np.asarray(predicted, dtype=int)
     y = np.asarray(y, dtype=int)
     if predicted.min() < 1 or y.min() < 1:
@@ -165,7 +140,7 @@ def absolute_error_from_margins(margin_vec: np.ndarray, y: int) -> float:
 
     Counts thresholds on the wrong side of the score for label y: margins
     with index below y that are >= 0, plus margins with index >= y that
-    are < 0.  Equals |y - predict(...)| exactly, ties included.
+    are < 0.  Equals |y - predict_batch(...)| exactly, ties included.
     """
     m = np.asarray(margin_vec, dtype=float)
     n_classes = m.size + 1

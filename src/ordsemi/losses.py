@@ -13,7 +13,9 @@ margin vector (thresholds minus score) and a label to a non-negative value:
   objective is convex on each cell where the signs of the bias-correction
   terms are fixed, not everywhere.
 
-All functions accept scalars or arrays for z and are safe for large |z|.
+Each task surrogate comes with its margin gradients from one fused kernel,
+:func:`surrogate_values_grads`; :func:`binary_loss` accepts scalars or arrays
+for z.
 """
 
 from __future__ import annotations
@@ -43,45 +45,32 @@ class TaskSurrogate:
             raise ValueError(f"unknown binary surrogate {self.binary!r}")
 
 
-def binary_value(kind: str, z):
-    """Value of the binary surrogate at margin z (vectorized, >= 0)."""
-    z = np.asarray(z, dtype=float)
-    if kind == "logistic":
-        # log(1 + e^-z) computed as max(0, -z) + log1p(e^-|z|) to avoid overflow
-        return np.maximum(0.0, -z) + np.log1p(np.exp(-np.abs(z)))
-    if kind == "squared":
-        return (1.0 - z) ** 2
-    if kind == "hinge":
-        return np.maximum(0.0, 1.0 - z)
-    if kind == "exponential":
-        return np.exp(-z)
-    if kind == "double_hinge":
-        return np.maximum(-z, np.maximum(0.0, 0.5 - 0.5 * z))
-    raise ValueError(f"unknown binary surrogate {kind!r}")
+def binary_loss(kind: str, z):
+    """Value (>= 0) and derivative in z of the binary surrogate at margin z.
 
-
-def binary_grad(kind: str, z):
-    """Derivative of :func:`binary_value` in z.
-
-    At the kinks a fixed subgradient is returned: hinge picks 0 at z = 1;
+    Accepts scalars or arrays for z.  Logistic is computed without overflow
+    for any z; exponential overflows to inf below about z = -709.  At the
+    kinks a fixed subgradient is returned: hinge picks 0 at z = 1;
     double_hinge picks 0 at z = 1 and -1 at z = -1.
     """
     z = np.asarray(z, dtype=float)
     if kind == "logistic":
-        # -sigmoid(-z), computed stably on both tails
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = -np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-        out[~pos] = -1.0 / (1.0 + np.exp(z[~pos]))
-        return out
+        # log(1 + e^-z) as max(0, -z) + log1p(e^-|z|) to avoid overflow; the
+        # derivative -sigmoid(-z) is computed stably on both tails
+        t = np.exp(-np.abs(z))
+        grad = np.where(z >= 0, -t / (1.0 + t), -1.0 / (1.0 + t))
+        return np.maximum(0.0, -z) + np.log1p(t), grad
     if kind == "squared":
-        return -2.0 * (1.0 - z)
+        one_minus = 1.0 - z
+        return one_minus**2, -2.0 * one_minus
     if kind == "hinge":
-        return np.where(z < 1.0, -1.0, 0.0)
+        return np.maximum(0.0, 1.0 - z), np.where(z < 1.0, -1.0, 0.0)
     if kind == "exponential":
-        return -np.exp(-z)
+        e = np.exp(-z)
+        return e, -e
     if kind == "double_hinge":
-        return np.where(z <= -1.0, -1.0, np.where(z < 1.0, -0.5, 0.0))
+        grad = np.where(z <= -1.0, -1.0, np.where(z < 1.0, -0.5, 0.0))
+        return np.maximum(-z, np.maximum(0.0, 0.5 - 0.5 * z)), grad
     raise ValueError(f"unknown binary surrogate {kind!r}")
 
 
@@ -92,116 +81,43 @@ def linear_odd_constant(kind: str, tol: float = 1e-9) -> float | None:
     semi-supervised risk linear, which preserves convexity of the training
     objective.
     """
-    diff = binary_value(kind, _ODD_PROBE) - binary_value(kind, -_ODD_PROBE)
+    diff = binary_loss(kind, _ODD_PROBE)[0] - binary_loss(kind, -_ODD_PROBE)[0]
     c = -diff / _ODD_PROBE
     if np.all(np.abs(diff + c[0] * _ODD_PROBE) <= tol) and c[0] > 0:
         return float(c[0])
     return None
 
 
-def _binary_value_grad(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative in one pass (shares the exp work)."""
-    if kind == "logistic":
-        t = np.exp(-np.abs(z))
-        value = np.maximum(0.0, -z) + np.log1p(t)
-        grad = np.where(z >= 0, -t / (1.0 + t), -1.0 / (1.0 + t))
-        return value, grad
-    if kind == "squared":
-        one_minus = 1.0 - z
-        return one_minus**2, -2.0 * one_minus
-    return binary_value(kind, z), binary_grad(kind, z)
-
-
-def _check_labels(ys: np.ndarray, n_classes: int) -> None:
-    if ys.min() < 1 or ys.max() > n_classes:
-        raise ValueError(f"labels must lie in 1..{n_classes}")
-
-
-def surrogate_values(psi: TaskSurrogate, margins: np.ndarray, ys) -> np.ndarray:
-    """Task surrogate value per row of ``margins``.
-
-    ``margins`` has shape (n, n_classes - 1); ``ys`` is one label per row or
-    a single label applied to every row.
-    """
-    margins = np.atleast_2d(np.asarray(margins, dtype=float))
-    n, m = margins.shape
-    n_classes = m + 1
-    ys = np.broadcast_to(np.asarray(ys, dtype=int), (n,))
-    _check_labels(ys, n_classes)
-
-    if psi.kind == "at":
-        signs = np.where(np.arange(m)[None, :] < (ys - 1)[:, None], -1.0, 1.0)
-        return binary_value(psi.binary, signs * margins).sum(axis=1)
-    if psi.kind == "it":
-        out = np.zeros(n)
-        rows = np.flatnonzero(ys >= 2)
-        out[rows] = binary_value(psi.binary, -margins[rows, ys[rows] - 2])
-        rows = np.flatnonzero(ys <= n_classes - 1)
-        out[rows] += binary_value(psi.binary, margins[rows, ys[rows] - 1])
-        return out
-    if psi.kind == "ls":
-        return (ys + margins[:, 0] - 1.5) ** 2
-    if psi.kind == "lad":
-        return np.abs(ys + margins[:, 0] - 1.5)
-    raise ValueError(f"unknown task surrogate {psi.kind!r}")
-
-
-def surrogate_grads(psi: TaskSurrogate, margins: np.ndarray, ys) -> np.ndarray:
-    """d(surrogate)/d(margin) per row; same shape as ``margins``.
-
-    Margins that do not appear in the chosen surrogate get gradient 0
-    (ls/lad only touch the first margin).  The lad kink at 0 returns 0.
-    """
-    margins = np.atleast_2d(np.asarray(margins, dtype=float))
-    n, m = margins.shape
-    n_classes = m + 1
-    ys = np.broadcast_to(np.asarray(ys, dtype=int), (n,))
-    _check_labels(ys, n_classes)
-
-    if psi.kind == "at":
-        signs = np.where(np.arange(m)[None, :] < (ys - 1)[:, None], -1.0, 1.0)
-        return signs * binary_grad(psi.binary, signs * margins)
-    if psi.kind == "it":
-        grads = np.zeros((n, m))
-        rows = np.flatnonzero(ys >= 2)
-        grads[rows, ys[rows] - 2] = -binary_grad(psi.binary, -margins[rows, ys[rows] - 2])
-        rows = np.flatnonzero(ys <= n_classes - 1)
-        grads[rows, ys[rows] - 1] += binary_grad(psi.binary, margins[rows, ys[rows] - 1])
-        return grads
-    grads = np.zeros((n, m))
-    a = ys + margins[:, 0] - 1.5
-    if psi.kind == "ls":
-        grads[:, 0] = 2.0 * a
-    elif psi.kind == "lad":
-        grads[:, 0] = np.sign(a)
-    else:
-        raise ValueError(f"unknown task surrogate {psi.kind!r}")
-    return grads
-
-
 def surrogate_values_grads(
     psi: TaskSurrogate, margins: np.ndarray, ys
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused values and margin gradients; the hot path for risk evaluation."""
+    """Task surrogate value per row of ``margins`` and its margin gradients.
+
+    ``margins`` has shape (n, n_classes - 1); ``ys`` is one label per row or
+    a single label applied to every row.  The gradients have the shape of
+    ``margins``: margins absent from the surrogate get 0 (ls/lad only touch
+    the first margin), and the lad kink at 0 returns 0.
+    """
     margins = np.atleast_2d(np.asarray(margins, dtype=float))
     n, m = margins.shape
     n_classes = m + 1
     ys = np.broadcast_to(np.asarray(ys, dtype=int), (n,))
-    _check_labels(ys, n_classes)
+    if ys.min() < 1 or ys.max() > n_classes:
+        raise ValueError(f"labels must lie in 1..{n_classes}")
 
     if psi.kind == "at":
         signs = np.where(np.arange(m)[None, :] < (ys - 1)[:, None], -1.0, 1.0)
-        values, grads = _binary_value_grad(psi.binary, signs * margins)
+        values, grads = binary_loss(psi.binary, signs * margins)
         return values.sum(axis=1), signs * grads
     if psi.kind == "it":
         values = np.zeros(n)
         grads = np.zeros((n, m))
         rows = np.flatnonzero(ys >= 2)
-        v, g = _binary_value_grad(psi.binary, -margins[rows, ys[rows] - 2])
+        v, g = binary_loss(psi.binary, -margins[rows, ys[rows] - 2])
         values[rows] = v
         grads[rows, ys[rows] - 2] = -g
         rows = np.flatnonzero(ys <= n_classes - 1)
-        v, g = _binary_value_grad(psi.binary, margins[rows, ys[rows] - 1])
+        v, g = binary_loss(psi.binary, margins[rows, ys[rows] - 1])
         values[rows] += v
         grads[rows, ys[rows] - 1] += g
         return values, grads
@@ -216,11 +132,6 @@ def surrogate_values_grads(
     raise ValueError(f"unknown task surrogate {psi.kind!r}")
 
 
-def task_surrogate_value(psi: TaskSurrogate, margin_vec: np.ndarray, y: int) -> float:
-    """Scalar surrogate value for a single margin vector and label."""
-    return float(surrogate_values(psi, np.asarray(margin_vec)[None, :], y)[0])
-
-
-def task_surrogate_grad(psi: TaskSurrogate, margin_vec: np.ndarray, y: int) -> np.ndarray:
-    """Gradient of :func:`task_surrogate_value` with respect to the margins."""
-    return surrogate_grads(psi, np.asarray(margin_vec)[None, :], y)[0]
+def surrogate_values(psi: TaskSurrogate, margins: np.ndarray, ys) -> np.ndarray:
+    """The values of :func:`surrogate_values_grads` alone."""
+    return surrogate_values_grads(psi, margins, ys)[0]

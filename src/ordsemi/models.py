@@ -96,27 +96,6 @@ def score_batch(model: ScoreModel, inputs: np.ndarray) -> np.ndarray:
     return model.features(inputs) @ model.weights
 
 
-def score(model: ScoreModel, x: np.ndarray) -> float:
-    """Score of a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("score() takes a single 1-D input; use score_batch for rows")
-    return float(score_batch(model, x[None, :])[0])
-
-
-def score_grad_params(model: ScoreModel, x: np.ndarray) -> np.ndarray:
-    """Gradient of the score with respect to the trainable weights.
-
-    Because both families are linear in the weights this is just the feature
-    vector: the raw input plus a constant 1 for the linear model, the kernel
-    evaluations for the kernel model.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("score_grad_params() takes a single 1-D input")
-    return model.features(x[None, :])[0]
-
-
 def with_weights(model: ScoreModel, weights: np.ndarray) -> ScoreModel:
     """Copy of the model with replaced weights."""
     return replace(model, weights=np.asarray(weights, dtype=float))
@@ -237,6 +216,8 @@ def deserialize_model(text: str):
             raise ValueError("linear weight count does not match the feature dim")
         return OrdinalModel(LinearScore(weights), thresholds)
     if kind == "kernel":
+        if len(lines) < 6:
+            raise ValueError("model file is truncated")
         bandwidth = float(lines[5])
         centers = np.array(
             [[float(v) for v in ln.split(",")] for ln in lines[6 : 6 + weights.size]]

@@ -12,13 +12,15 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ordsemi.core import OrdinalDataset, OrdinalModel, margins
-from ordsemi.losses import TaskSurrogate, task_surrogate_value
+from ordsemi.core import OrdinalDataset, OrdinalModel, margins_matrix
+from ordsemi.losses import TaskSurrogate, surrogate_values
 
 
 def population_surrogate_risk(model: OrdinalModel, psi: TaskSurrogate, dist) -> float:
     """E[psi(margins(X), Y)] summed over the finite support."""
-    return sum(p * task_surrogate_value(psi, margins(model, x), y) for x, y, p in dist)
+    return sum(
+        p * surrogate_values(psi, margins_matrix(model, [x]), y)[0] for x, y, p in dist
+    )
 
 
 def class_priors(dist, n_classes: int) -> np.ndarray:
@@ -39,11 +41,11 @@ def population_lu_risk(model: OrdinalModel, psi: TaskSurrogate, dist, k: int, n_
     # sum_{y != k} pi_y E[psi(.,y) | Y=y]  and  - sum_{y != k} pi_y E[psi(.,k) | Y=y]
     for x, y, p in dist:
         if y != k:
-            value += p * task_surrogate_value(psi, margins(model, x), y)
-            value -= p * task_surrogate_value(psi, margins(model, x), k)
+            value += p * surrogate_values(psi, margins_matrix(model, [x]), y)[0]
+            value -= p * surrogate_values(psi, margins_matrix(model, [x]), k)[0]
     # + E_marginal[psi(., k)]
     for x, _, p in dist:
-        value += p * task_surrogate_value(psi, margins(model, x), k)
+        value += p * surrogate_values(psi, margins_matrix(model, [x]), k)[0]
     return value
 
 

@@ -19,11 +19,11 @@ from ordsemi.core import (
     OrdinalModel,
     absolute_error_from_margins,
     evaluate_metric,
-    margins,
-    predict,
+    margins_matrix,
+    predict_batch,
 )
 from ordsemi.data import SplitSpec, make_splits, synthetic_ordinal_table
-from ordsemi.losses import TaskSurrogate, linear_odd_constant, task_surrogate_value
+from ordsemi.losses import TaskSurrogate, linear_odd_constant, surrogate_values
 from ordsemi.models import LinearScore, init_model
 from ordsemi.risk import (
     RiskEvaluator,
@@ -65,8 +65,9 @@ def test_c01_absolute_error_margin_identity():
             f = float(rng.normal(scale=2.0))
             y = int(rng.integers(1, n_classes + 1))
             model = scalar_model(f, thresholds)
-            direct = abs(y - predict(model, np.zeros(1)))
-            decomposed = absolute_error_from_margins(margins(model, np.zeros(1)), y)
+            x = np.zeros((1, 1))
+            direct = abs(y - predict_batch(model, x)[0])
+            decomposed = absolute_error_from_margins(margins_matrix(model, x)[0], y)
             assert direct == decomposed
     _report(1, "absolute-error margin identity")
 
@@ -335,7 +336,7 @@ def test_c06_risk_difference_linearity():
 
     def second_diff(psi, m, y, k, v):
         vals = [
-            task_surrogate_value(psi, m + t * v, y) - task_surrogate_value(psi, m + t * v, k)
+            surrogate_values(psi, m + t * v, y)[0] - surrogate_values(psi, m + t * v, k)[0]
             for t in (-step, 0.0, step)
         ]
         return vals[0] - 2 * vals[1] + vals[2]

@@ -131,6 +131,17 @@ class TestSummarize:
         failed = {row.split(",")[1]: row.split(",")[-1] for row in rows}
         assert failed == {"semi2-linear": "0", "sv-linear": "1"}
 
+    def test_group_with_only_failures_kept(self):
+        ok = [TrialResult("toy", "sv-linear", "at", "MAE", 0.5, 1)]
+        errors = [{"dataset": "toy", "method": "semi2-linear", "surrogate": "at",
+                   "metric": "MAE", "error": "boom", "seed": 1}]
+        rows = summarize(ok, errors)
+        assert [(r.method, r.n_trials, r.n_failed) for r in rows] == [
+            ("semi2-linear", 0, 1),
+            ("sv-linear", 1, 0),
+        ]
+        assert math.isnan(rows[0].mean) and rows[0].t_vs_sv is None
+
 
 class TestRunBenchmark:
     def test_small_run_produces_all_rows(self, tmp_path):
@@ -196,7 +207,7 @@ class TestFailureRows:
         assert len(results) == 2 and all(r.method == "sv-linear" for r in results)
         rows = summarize(results, errors)
         semi_rows = [r for r in rows if r.method == "semi2-linear"]
-        assert semi_rows == []  # no successful trials to summarize
+        assert [(r.n_trials, r.n_failed) for r in semi_rows] == [(0, 2)]
         lines = sink_path.read_text().strip().splitlines()
         error_lines = [json.loads(ln) for ln in lines if "error" in json.loads(ln)]
         assert len(error_lines) == 2

@@ -99,6 +99,13 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["metric"] == "MAE" and payload["n_rows"] == 160
 
+    def test_truncated_kernel_file(self, toy_csv, tmp_path, capsys):
+        model_file = tmp_path / "model.txt"
+        model_file.write_text("kernel\n3\n3\n-0.3,0.3\n0.1,0.2\n")  # ends after the weights
+        code = main(["eval", "--data", str(toy_csv), "--model-file", str(model_file)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: model file is truncated\n"
+
 
 class TestVariance:
     def test_rows_and_determinism(self, toy_csv, capsys):

@@ -8,10 +8,9 @@ from ordsemi.core import (
     OrdinalModel,
     absolute_error_from_margins,
     evaluate_metric,
-    margins,
-    predict,
+    margins_matrix,
     predict_batch,
-    task_loss,
+    task_loss_batch,
 )
 from ordsemi.models import LinearScore
 
@@ -28,51 +27,46 @@ def scalar_model(value, thresholds):
 class TestPredict:
     def test_middle_band(self):
         model = scalar_model(0.0, [-1.0, 1.0])
-        assert predict(model, np.zeros(1)) == 2
+        assert predict_batch(model, np.zeros((1, 1)))[0] == 2
 
     def test_above_all_thresholds(self):
         model = scalar_model(2.0, [-1.0, 1.0])
-        assert predict(model, np.zeros(1)) == 3
+        assert predict_batch(model, np.zeros((1, 1)))[0] == 3
 
     def test_below_all_thresholds(self):
         model = scalar_model(-2.0, [-1.0, 1.0])
-        assert predict(model, np.zeros(1)) == 1
+        assert predict_batch(model, np.zeros((1, 1)))[0] == 1
 
     def test_tie_does_not_cross(self):
         model = scalar_model(1.0, [1.0, 2.0])
-        assert predict(model, np.zeros(1)) == 1
+        assert predict_batch(model, np.zeros((1, 1)))[0] == 1
 
     def test_dimension_mismatch(self):
         model = linear_model([1.0, 2.0], 0.0, [0.0])
         with pytest.raises(ValueError):
-            predict(model, np.zeros(3))
+            predict_batch(model, np.zeros((1, 3)))
 
     def test_monotone_in_score(self):
         thresholds = [-0.7, 0.1, 1.9]
         scores = np.linspace(-3, 3, 201)
-        labels = [predict(scalar_model(f, thresholds), np.zeros(1)) for f in scores]
+        labels = [
+            predict_batch(scalar_model(f, thresholds), np.zeros((1, 1)))[0] for f in scores
+        ]
         assert all(a <= b for a, b in zip(labels, labels[1:]))
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        model = linear_model([0.3, -1.2], 0.4, [-0.5, 0.5])
-        xs = rng.normal(size=(50, 2))
-        batch = predict_batch(model, xs)
-        assert [predict(model, x) for x in xs] == batch.tolist()
 
 
 class TestMargins:
     def test_direct_subtraction(self):
         model = scalar_model(0.5, [0.0, 1.0])
-        np.testing.assert_allclose(margins(model, np.zeros(1)), [-0.5, 0.5])
+        np.testing.assert_allclose(margins_matrix(model, np.zeros((1, 1)))[0], [-0.5, 0.5])
 
     def test_zero_case(self):
         model = scalar_model(0.0, [0.0, 0.0])
-        np.testing.assert_allclose(margins(model, np.zeros(1)), [0.0, 0.0])
+        np.testing.assert_allclose(margins_matrix(model, np.zeros((1, 1)))[0], [0.0, 0.0])
 
     def test_negative(self):
         model = scalar_model(3.0, [-1.0, 2.0])
-        np.testing.assert_allclose(margins(model, np.zeros(1)), [-4.0, -1.0])
+        np.testing.assert_allclose(margins_matrix(model, np.zeros((1, 1)))[0], [-4.0, -1.0])
 
 
 class TestTaskLoss:
@@ -86,15 +80,15 @@ class TestTaskLoss:
         ],
     )
     def test_values(self, kind, predicted, y, expected):
-        assert task_loss(kind, predicted, y) == expected
+        assert task_loss_batch(kind, [predicted], [y])[0] == expected
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            task_loss("hamming", 1, 1)
+            task_loss_batch("hamming", [1], [1])
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            task_loss("absolute", 0, 1)
+            task_loss_batch("absolute", [0], [1])
 
     def test_zero_one_threshold_form(self):
         # 1[pred != y] equals 1[f <= theta_{y-1}] + 1[f > theta_y] with
@@ -106,10 +100,10 @@ class TestTaskLoss:
             f = float(rng.normal(scale=2))
             y = int(rng.integers(1, n_classes + 1))
             model = scalar_model(f, thresholds)
-            pred = predict(model, np.zeros(1))
+            pred = predict_batch(model, np.zeros((1, 1)))[0]
             padded = np.concatenate([[-np.inf], thresholds, [np.inf]])
             direct = float(f <= padded[y - 1]) + float(f > padded[y])
-            assert task_loss("zero_one", pred, y) == direct
+            assert task_loss_batch("zero_one", [pred], [y])[0] == direct
 
 
 class TestAbsoluteErrorFromMargins:
@@ -136,8 +130,9 @@ class TestAbsoluteErrorFromMargins:
             f = float(rng.normal(scale=2))
             y = int(rng.integers(1, n_classes + 1))
             model = scalar_model(f, thresholds)
-            direct = abs(y - predict(model, np.zeros(1)))
-            via_margins = absolute_error_from_margins(margins(model, np.zeros(1)), y)
+            x = np.zeros((1, 1))
+            direct = abs(y - predict_batch(model, x)[0])
+            via_margins = absolute_error_from_margins(margins_matrix(model, x)[0], y)
             assert direct == via_margins
 
 

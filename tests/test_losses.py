@@ -8,61 +8,57 @@ import pytest
 from ordsemi.losses import (
     BINARY_KINDS,
     TaskSurrogate,
-    binary_grad,
-    binary_value,
+    binary_loss,
     linear_odd_constant,
-    surrogate_grads,
     surrogate_values,
     surrogate_values_grads,
-    task_surrogate_grad,
-    task_surrogate_value,
 )
 
 
 class TestBinaryValue:
     def test_logistic_at_zero(self):
-        assert binary_value("logistic", 0.0) == pytest.approx(math.log(2), abs=1e-12)
+        assert binary_loss("logistic", 0.0)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_squared_margin_one(self):
-        assert binary_value("squared", 1.0) == 0.0
+        assert binary_loss("squared", 1.0)[0] == 0.0
 
     def test_double_hinge_by_cases(self):
         # hand oracle: max(-z, max(0, 1/2 - z/2))
         for z in (-2.0, -1.0, -0.3, 0.0, 0.7, 1.0, 3.0):
             expected = max(-z, max(0.0, 0.5 - 0.5 * z))
-            assert binary_value("double_hinge", z) == pytest.approx(expected, abs=1e-15)
-        assert binary_value("double_hinge", -2.0) == 2.0
+            assert binary_loss("double_hinge", z)[0] == pytest.approx(expected, abs=1e-15)
+        assert binary_loss("double_hinge", -2.0)[0] == 2.0
 
     def test_logistic_overflow_safe(self):
-        assert np.isfinite(binary_value("logistic", -1e4))
-        assert binary_value("logistic", 1e4) == 0.0
-        assert binary_value("logistic", -1e4) == pytest.approx(1e4)
+        assert np.isfinite(binary_loss("logistic", -1e4)[0])
+        assert binary_loss("logistic", 1e4)[0] == 0.0
+        assert binary_loss("logistic", -1e4)[0] == pytest.approx(1e4)
 
     def test_all_nonnegative(self):
         z = np.linspace(-30, 30, 301)
         for kind in BINARY_KINDS:
-            assert np.all(binary_value(kind, z) >= 0)
+            assert np.all(binary_loss(kind, z)[0] >= 0)
 
     def test_all_convex_midpoint(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(scale=3, size=(2, 500))
         for kind in BINARY_KINDS:
-            mid = binary_value(kind, (a + b) / 2)
-            avg = (binary_value(kind, a) + binary_value(kind, b)) / 2
+            mid = binary_loss(kind, (a + b) / 2)[0]
+            avg = (binary_loss(kind, a)[0] + binary_loss(kind, b)[0]) / 2
             assert np.all(mid <= avg + 1e-9)
 
 
 class TestBinaryGrad:
     def test_logistic_at_zero(self):
-        assert binary_grad("logistic", 0.0) == pytest.approx(-0.5, abs=1e-12)
+        assert binary_loss("logistic", 0.0)[1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_squared_at_zero(self):
-        assert binary_grad("squared", 0.0) == -2.0
+        assert binary_loss("squared", 0.0)[1] == -2.0
 
     def test_kink_choices(self):
-        assert binary_grad("hinge", 1.0) == 0.0
-        assert binary_grad("double_hinge", 1.0) == 0.0
-        assert binary_grad("double_hinge", -1.0) == -1.0
+        assert binary_loss("hinge", 1.0)[1] == 0.0
+        assert binary_loss("double_hinge", 1.0)[1] == 0.0
+        assert binary_loss("double_hinge", -1.0)[1] == -1.0
 
     def test_finite_differences(self):
         # central differences, avoiding the kink neighborhoods
@@ -71,8 +67,8 @@ class TestBinaryGrad:
         for kind in BINARY_KINDS:
             z = rng.uniform(-8, 8, size=100)
             z = z[np.all(np.abs(z[:, None] - np.array([[-1.0, 1.0]])) > 1e-3, axis=1)]
-            fd = (binary_value(kind, z + h) - binary_value(kind, z - h)) / (2 * h)
-            np.testing.assert_allclose(binary_grad(kind, z), fd, rtol=1e-5, atol=1e-5)
+            fd = (binary_loss(kind, z + h)[0] - binary_loss(kind, z - h)[0]) / (2 * h)
+            np.testing.assert_allclose(binary_loss(kind, z)[1], fd, rtol=1e-5, atol=1e-5)
 
 
 class TestLinearOdd:
@@ -89,37 +85,37 @@ class TestLinearOdd:
 class TestTaskSurrogateValue:
     def test_at_logistic_middle(self):
         psi = TaskSurrogate("at", "logistic")
-        value = task_surrogate_value(psi, np.zeros(2), 2)
+        value = surrogate_values(psi, np.zeros(2), 2)[0]
         assert value == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_ls_zero(self):
-        assert task_surrogate_value(TaskSurrogate("ls"), np.array([-0.5, 0.0]), 2) == 0.0
+        assert surrogate_values(TaskSurrogate("ls"), np.array([-0.5, 0.0]), 2)[0] == 0.0
 
     def test_lad_zero(self):
-        assert task_surrogate_value(TaskSurrogate("lad"), np.array([0.5, 0.0]), 1) == 0.0
+        assert surrogate_values(TaskSurrogate("lad"), np.array([0.5, 0.0]), 1)[0] == 0.0
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            task_surrogate_value(TaskSurrogate("at", "logistic"), np.zeros(2), 4)
+            surrogate_values(TaskSurrogate("at", "logistic"), np.zeros(2), 4)
 
     def test_it_boundary_labels(self):
         psi = TaskSurrogate("it", "logistic")
         m = np.array([0.3, -0.4])
-        assert task_surrogate_value(psi, m, 1) == pytest.approx(
-            binary_value("logistic", m[0])
+        assert surrogate_values(psi, m, 1)[0] == pytest.approx(
+            binary_loss("logistic", m[0])[0]
         )
-        assert task_surrogate_value(psi, m, 3) == pytest.approx(
-            binary_value("logistic", -m[1])
+        assert surrogate_values(psi, m, 3)[0] == pytest.approx(
+            binary_loss("logistic", -m[1])[0]
         )
-        assert task_surrogate_value(psi, m, 2) == pytest.approx(
-            binary_value("logistic", -m[0]) + binary_value("logistic", m[1])
+        assert surrogate_values(psi, m, 2)[0] == pytest.approx(
+            binary_loss("logistic", -m[0])[0] + binary_loss("logistic", m[1])[0]
         )
 
     def test_it_two_classes_single_term(self):
         psi = TaskSurrogate("it", "squared")
         m = np.array([0.7])
-        assert task_surrogate_value(psi, m, 1) == pytest.approx((1 - 0.7) ** 2)
-        assert task_surrogate_value(psi, m, 2) == pytest.approx((1 + 0.7) ** 2)
+        assert surrogate_values(psi, m, 1)[0] == pytest.approx((1 - 0.7) ** 2)
+        assert surrogate_values(psi, m, 2)[0] == pytest.approx((1 + 0.7) ** 2)
 
     def test_all_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -159,55 +155,46 @@ class TestTaskSurrogateGrad:
     def test_at_squared_label_one(self):
         psi = TaskSurrogate("at", "squared")
         np.testing.assert_allclose(
-            task_surrogate_grad(psi, np.zeros(2), 1), [-2.0, -2.0]
+            surrogate_values_grads(psi, np.zeros(2), 1)[1][0], [-2.0, -2.0]
         )
 
     def test_ls_touches_first_margin_only(self):
-        grad = task_surrogate_grad(TaskSurrogate("ls"), np.zeros(2), 2)
+        grad = surrogate_values_grads(TaskSurrogate("ls"), np.zeros(2), 2)[1][0]
         np.testing.assert_allclose(grad, [1.0, 0.0])
 
     def test_lad_kink_returns_zero(self):
-        grad = task_surrogate_grad(TaskSurrogate("lad"), np.array([0.5, 0.0]), 1)
+        grad = surrogate_values_grads(TaskSurrogate("lad"), np.array([0.5, 0.0]), 1)[1][0]
         np.testing.assert_allclose(grad, [0.0, 0.0])
 
     def test_finite_differences_all_kinds(self):
         rng = np.random.default_rng(5)
         h = 1e-6
         for kind in ("at", "it", "ls", "lad"):
-            for binary in ("logistic", "squared", "double_hinge"):
+            for binary in BINARY_KINDS:
                 psi = TaskSurrogate(kind, binary)
                 checked = 0
                 while checked < 40:
                     n_classes = int(rng.integers(2, 6))
                     m = rng.normal(scale=2, size=n_classes - 1)
                     y = int(rng.integers(1, n_classes + 1))
-                    # stay away from the double-hinge and lad kinks
-                    if binary == "double_hinge" and np.any(np.abs(np.abs(m) - 1) < 1e-3):
+                    # stay away from the hinge, double-hinge and lad kinks
+                    hinged = binary in ("hinge", "double_hinge")
+                    if hinged and np.any(np.abs(np.abs(m) - 1) < 1e-3):
                         continue
                     if kind == "lad" and abs(y + m[0] - 1.5) < 1e-3:
                         continue
-                    grad = task_surrogate_grad(psi, m, y)
+                    grad = surrogate_values_grads(psi, m, y)[1][0]
                     fd = np.empty_like(m)
                     for i in range(m.size):
                         up, dn = m.copy(), m.copy()
                         up[i] += h
                         dn[i] -= h
                         fd[i] = (
-                            task_surrogate_value(psi, up, y)
-                            - task_surrogate_value(psi, dn, y)
+                            surrogate_values(psi, up, y)[0]
+                            - surrogate_values(psi, dn, y)[0]
                         ) / (2 * h)
                     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
                     checked += 1
-
-    def test_fused_path_matches_separate(self):
-        rng = np.random.default_rng(6)
-        for kind in ("at", "it", "ls", "lad"):
-            psi = TaskSurrogate(kind, "logistic")
-            m = rng.normal(scale=2, size=(100, 3))
-            ys = rng.integers(1, 5, size=100)
-            values, grads = surrogate_values_grads(psi, m, ys)
-            np.testing.assert_allclose(values, surrogate_values(psi, m, ys), atol=1e-14)
-            np.testing.assert_allclose(grads, surrogate_grads(psi, m, ys), atol=1e-14)
 
 
 class TestRiskDifferenceStructure:
@@ -224,9 +211,9 @@ class TestRiskDifferenceStructure:
                 n_classes = int(rng.integers(2, 7))
                 m = rng.normal(scale=2, size=n_classes - 1)
                 y, k = rng.integers(1, n_classes + 1, size=2)
-                gap = task_surrogate_value(psi, m, int(y)) - task_surrogate_value(
+                gap = surrogate_values(psi, m, int(y))[0] - surrogate_values(
                     psi, m, int(k)
-                )
+                )[0]
                 if y < k:
                     expected = -c * m[y - 1 : k - 1].sum()
                 elif y > k:
@@ -244,12 +231,12 @@ class TestRiskDifferenceStructure:
                 other = m.copy()
                 other[1:] = rng.normal(scale=2, size=2)
                 y, k = rng.integers(1, 5, size=2)
-                gap = task_surrogate_value(psi, m, int(y)) - task_surrogate_value(
+                gap = surrogate_values(psi, m, int(y))[0] - surrogate_values(
                     psi, m, int(k)
-                )
-                gap_other = task_surrogate_value(psi, other, int(y)) - task_surrogate_value(
+                )[0]
+                gap_other = surrogate_values(psi, other, int(y))[0] - surrogate_values(
                     psi, other, int(k)
-                )
+                )[0]
                 assert gap == pytest.approx(gap_other, abs=1e-12)
 
     def test_ls_gap_linear_in_first_margin(self):
@@ -264,8 +251,8 @@ class TestRiskDifferenceStructure:
                 shifted = m.copy()
                 shifted[0] += t
                 values.append(
-                    task_surrogate_value(psi, shifted, int(y))
-                    - task_surrogate_value(psi, shifted, int(k))
+                    surrogate_values(psi, shifted, int(y))[0]
+                    - surrogate_values(psi, shifted, int(k))[0]
                 )
             second_diff = values[0] - 2 * values[1] + values[2]
             assert second_diff == pytest.approx(0.0, abs=1e-9)

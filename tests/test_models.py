@@ -13,9 +13,7 @@ from ordsemi.models import (
     load_model,
     median_bandwidth_candidates,
     save_model,
-    score,
     score_batch,
-    score_grad_params,
     serialize_model,
 )
 
@@ -23,40 +21,40 @@ from ordsemi.models import (
 class TestLinearScore:
     def test_zero_weights(self):
         model = LinearScore(np.zeros(3))
-        assert score(model, np.array([5.0, -2.0])) == 0.0
+        assert score_batch(model, np.array([[5.0, -2.0]]))[0] == 0.0
 
     def test_bias_is_last(self):
         model = LinearScore(np.array([0.0, 0.0, 7.0]))
-        assert score(model, np.array([1.0, 1.0])) == 7.0
+        assert score_batch(model, np.array([[1.0, 1.0]]))[0] == 7.0
 
     def test_grad_params(self):
         model = LinearScore(np.zeros(3))
         np.testing.assert_allclose(
-            score_grad_params(model, np.array([2.0, 3.0])), [2.0, 3.0, 1.0]
+            model.features(np.array([[2.0, 3.0]]))[0], [2.0, 3.0, 1.0]
         )
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            score(LinearScore(np.zeros(3)), np.zeros(5))
+            score_batch(LinearScore(np.zeros(3)), np.zeros((1, 5)))
 
 
 class TestKernelScore:
     def test_center_hit(self):
         c = np.array([[1.0, 2.0]])
         model = KernelScore(np.array([1.0]), c, 0.7)
-        assert score(model, c[0]) == pytest.approx(1.0)
+        assert score_batch(model, c[:1])[0] == pytest.approx(1.0)
 
     def test_known_distance(self):
         sigma = 0.9
         c = np.array([[0.0]])
         x = np.array([math.sqrt(2) * sigma])
         model = KernelScore(np.array([1.0]), c, sigma)
-        assert score(model, x) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert score_batch(model, x[None, :])[0] == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_grad_entry_one_at_center(self):
         c = np.array([[0.5, 0.5], [3.0, 3.0]])
         model = KernelScore(np.zeros(2), c, 1.0)
-        grad = score_grad_params(model, c[0])
+        grad = model.features(c[:1])[0]
         assert grad[0] == pytest.approx(1.0)
         assert 0 < grad[1] < 1
 
@@ -66,13 +64,16 @@ class TestKernelScore:
         w = rng.normal(size=4)
         model = KernelScore(w, c, 1.3)
         x = rng.normal(size=3)
-        grad = score_grad_params(model, x)
+        grad = model.features(x[None, :])[0]
         h = 1e-6
         for i in range(4):
             up, dn = w.copy(), w.copy()
             up[i] += h
             dn[i] -= h
-            fd = (score(KernelScore(up, c, 1.3), x) - score(KernelScore(dn, c, 1.3), x)) / (2 * h)
+            fd = (
+                score_batch(KernelScore(up, c, 1.3), x[None, :])[0]
+                - score_batch(KernelScore(dn, c, 1.3), x[None, :])[0]
+            ) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_invariant_under_center_permutation(self):
