@@ -53,10 +53,6 @@ class TrialResult:
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json(cls, line: str) -> "TrialResult":
-        return cls(**json.loads(line))
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -116,14 +112,13 @@ def run_trial(
     non_negative: bool,
     weight_decays: tuple[float, ...],
     strategy: str | None = None,
-    bandwidths: list[float] | None = None,
 ) -> TrialResult:
     """Split, select hyperparameters, train one method, score it on the test part."""
     estimator, model_kind = parse_method(method)
     splits = make_splits(table, split_spec)
     spec = build_spec(splits.train, estimator, surrogate, gamma, mu, non_negative, strategy)
     _, _, report = select_hyperparams(
-        splits.train, spec, config, model_kind, bandwidths, weight_decays
+        splits.train, spec, config, model_kind, None, weight_decays
     )
     value = evaluate_metric(report.model, splits.test_x, splits.test_y, metric_kind)
     return TrialResult(
@@ -151,7 +146,6 @@ def run_benchmark(
     non_negative: bool = True,
     weight_decays: tuple[float, ...] = (0.1, 0.01, 0.001),
     strategy: str | None = None,
-    bandwidths: list[float] | None = None,
     sink=None,
 ) -> tuple[list[TrialResult], list[dict]]:
     """Run every method for ``trials`` reshuffled splits.
@@ -181,7 +175,6 @@ def run_benchmark(
                     non_negative,
                     weight_decays,
                     strategy,
-                    bandwidths,
                 )
             except (ValueError, TrainingDiverged) as exc:  # training failures become rows
                 record = {
@@ -288,11 +281,10 @@ def run_variance_experiment(
     return rows
 
 
-def print_reference_ratios(handle=None) -> None:
-    """Published reference magnitudes for the variance experiment (not asserted:
-    they depend on the original benchmark datasets)."""
-    handle = handle or sys.stderr
-    handle.write(
+def print_reference_ratios() -> None:
+    """Published reference magnitudes for the variance experiment, on stderr
+    (not asserted: they depend on the original benchmark datasets)."""
+    sys.stderr.write(
         "reference ratios (original benchmark data): at/car 0.108, it/car 0.109, "
         "ls/car 0.157; at ratios ranged 0.04-0.36\n"
     )

@@ -19,22 +19,27 @@ from .models import load_model, save_model
 from .train import TrainConfig, select_hyperparams
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="CSV file: features then an integer label")
     p.add_argument("--has-header", action="store_true", help="skip the first CSV line")
     p.add_argument("--k-classes", type=int, default=3)
     p.add_argument("--n-labeled", type=int, default=30)
     p.add_argument("--unlabeled-fraction", type=float, default=0.5)
-    p.add_argument("--surrogate", choices=("at", "it", "ls", "lad"), default="at")
     p.add_argument(
         "--binary-loss",
         choices=tuple(kind.replace("_", "-") for kind in BINARY_KINDS),
         default="logistic",
     )
+    p.add_argument("--strategy", default=None, help="smallest | bound | fixed:K")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+
+
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--surrogate", choices=("at", "it", "ls", "lad"), default="at")
     p.add_argument("--model", choices=("linear", "kernel"), default="linear")
     p.add_argument("--gamma", type=float, default=0.8)
     p.add_argument("--mu", type=float, default=10.0)
-    p.add_argument("--strategy", default=None, help="smallest | bound | fixed:K")
     p.add_argument(
         "--non-negative",
         action=argparse.BooleanOptionalAction,
@@ -47,8 +52,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--max-epochs", type=int, default=2000)
     p.add_argument("--weight-decays", default="0.1,0.01,0.001")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one method and report its test metric")
-    _add_shared_flags(p_train)
+    _add_common_flags(p_train)
+    _add_training_flags(p_train)
     p_train.add_argument("--method", default="semi2-linear",
                          help="{sv|semi1|semi2}[-{linear|kernel}]")
 
@@ -70,14 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--metric", choices=("mae", "mze", "mse"), default="mae")
 
     p_var = sub.add_parser("variance", help="bootstrap variance-ratio experiment")
-    _add_shared_flags(p_var)
+    _add_common_flags(p_var)
     p_var.add_argument("--surrogates", default="at,it,ls",
                        help="comma list drawn from at,it,ls,lad")
     p_var.add_argument("--n-unlabeled", type=int, default=1000)
     p_var.add_argument("--resamples", type=int, default=1000)
 
     p_bench = sub.add_parser("bench", help="multi-trial benchmark with summary statistics")
-    _add_shared_flags(p_bench)
+    _add_common_flags(p_bench)
+    _add_training_flags(p_bench)
     p_bench.add_argument("--methods", default="sv-linear,semi1-linear,semi2-linear",
                          help="comma list of {sv|semi1|semi2}-{linear|kernel}")
     p_bench.add_argument("--trials", type=int, default=20)
@@ -88,7 +93,7 @@ _METRIC_KINDS = {"mae": "absolute", "mze": "zero_one", "mse": "squared"}
 
 
 def _metric_kind(args) -> str:
-    if getattr(args, "metric", None):
+    if args.metric:
         return _METRIC_KINDS[args.metric]
     return bench.METRIC_FOR_SURROGATE[args.surrogate]
 
@@ -98,8 +103,6 @@ def _validate_ranges(args) -> None:
         raise ValueError(f"--gamma {args.gamma} out of range [0, 1]")
     if args.mu < 0:
         raise ValueError(f"--mu {args.mu} must be >= 0")
-    if not 0.0 < args.unlabeled_fraction < 1.0:
-        raise ValueError(f"--unlabeled-fraction {args.unlabeled_fraction} out of range (0, 1)")
 
 
 def _prepare_table(args):
@@ -107,12 +110,12 @@ def _prepare_table(args):
     return merge_classes(table, args.k_classes)
 
 
-def _split_spec(args, seed=None) -> SplitSpec:
+def _split_spec(args) -> SplitSpec:
     return SplitSpec(
         n_labeled=args.n_labeled,
         n_classes=args.k_classes,
         unlabeled_fraction=args.unlabeled_fraction,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
     )
 
 
@@ -182,7 +185,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_variance(args) -> int:
-    _validate_ranges(args)
     table = _prepare_table(args)
     name = Path(args.data).stem
     surrogates = [s.strip() for s in args.surrogates.split(",") if s.strip()]

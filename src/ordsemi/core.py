@@ -135,22 +135,6 @@ def task_loss_batch(kind: str, predicted: np.ndarray, y: np.ndarray) -> np.ndarr
     raise ValueError(f"unknown task loss kind {kind!r}; choose from {TASK_LOSS_KINDS}")
 
 
-def absolute_error_from_margins(margin_vec: np.ndarray, y: int) -> float:
-    """Absolute error |y - predicted| computed from threshold margins alone.
-
-    Counts thresholds on the wrong side of the score for label y: margins
-    with index below y that are >= 0, plus margins with index >= y that
-    are < 0.  Equals |y - predict_batch(...)| exactly, ties included.
-    """
-    m = np.asarray(margin_vec, dtype=float)
-    n_classes = m.size + 1
-    if not 1 <= y <= n_classes:
-        raise ValueError(f"label {y} out of range 1..{n_classes}")
-    below = int(np.sum(m[: y - 1] >= 0))
-    above = int(np.sum(m[y - 1 :] < 0))
-    return float(below + above)
-
-
 def evaluate_metric(
     model: OrdinalModel, test_x: np.ndarray, test_y: np.ndarray, kind: str
 ) -> float:

@@ -27,9 +27,6 @@ import numpy as np
 BINARY_KINDS = ("logistic", "squared", "hinge", "exponential", "double_hinge")
 TASK_KINDS = ("at", "it", "ls", "lad")
 
-# Probe grid for detecting whether ell(z) - ell(-z) is exactly -C*z.
-_ODD_PROBE = np.array([0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0])
-
 
 @dataclass(frozen=True)
 class TaskSurrogate:
@@ -49,9 +46,9 @@ def binary_loss(kind: str, z):
     """Value (>= 0) and derivative in z of the binary surrogate at margin z.
 
     Accepts scalars or arrays for z.  Logistic is computed without overflow
-    for any z; exponential overflows to inf below about z = -709.  At the
-    kinks a fixed subgradient is returned: hinge picks 0 at z = 1;
-    double_hinge picks 0 at z = 1 and -1 at z = -1.
+    for any z; exponential raises ``ValueError`` where e^-z overflows, below
+    about z = -709.  At the kinks a fixed subgradient is returned: hinge
+    picks 0 at z = 1; double_hinge picks 0 at z = 1 and -1 at z = -1.
     """
     z = np.asarray(z, dtype=float)
     if kind == "logistic":
@@ -66,26 +63,15 @@ def binary_loss(kind: str, z):
     if kind == "hinge":
         return np.maximum(0.0, 1.0 - z), np.where(z < 1.0, -1.0, 0.0)
     if kind == "exponential":
-        e = np.exp(-z)
+        with np.errstate(over="ignore"):
+            e = np.exp(-z)
+        if np.isinf(e).any():
+            raise ValueError(f"exponential loss overflows at margin {float(z.min())!r}")
         return e, -e
     if kind == "double_hinge":
         grad = np.where(z <= -1.0, -1.0, np.where(z < 1.0, -0.5, 0.0))
         return np.maximum(-z, np.maximum(0.0, 0.5 - 0.5 * z)), grad
     raise ValueError(f"unknown binary surrogate {kind!r}")
-
-
-def linear_odd_constant(kind: str, tol: float = 1e-9) -> float | None:
-    """C > 0 with ell(z) - ell(-z) = -C*z on the probe grid, or None.
-
-    Surrogates with this property keep the labeled difference terms of the
-    semi-supervised risk linear, which preserves convexity of the training
-    objective.
-    """
-    diff = binary_loss(kind, _ODD_PROBE)[0] - binary_loss(kind, -_ODD_PROBE)[0]
-    c = -diff / _ODD_PROBE
-    if np.all(np.abs(diff + c[0] * _ODD_PROBE) <= tol) and c[0] > 0:
-        return float(c[0])
-    return None
 
 
 def surrogate_values_grads(

@@ -28,7 +28,7 @@ variance-ratio experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -115,38 +115,27 @@ def select_removed_class(counts: np.ndarray, strategy: str) -> int:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def threshold_penalty(thresholds: np.ndarray, mu: float) -> float:
-    """Log-barrier penalty encouraging strictly increasing thresholds.
+def threshold_penalty(thresholds: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+    """Log-barrier penalty encouraging strictly increasing thresholds, and
+    its gradient in the thresholds.
 
     mu * max(0, sum of -log(gap)) over consecutive threshold gaps; the max
-    clamps the whole sum, not individual gaps.  A non-positive gap returns
-    +inf to signal an infeasible ordering.  With fewer than two thresholds
-    the sum is empty and the penalty is 0.
+    clamps the whole sum, not individual gaps, and a clamped sum has zero
+    gradient.  With fewer than two thresholds the sum is empty and the
+    penalty is 0.  A non-positive gap makes the penalty infinite and raises
+    ``ValueError``.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.size < 2:
-        return 0.0
     gaps = thresholds[1:] - thresholds[:-1]
-    if (gaps <= 0.0).any():
-        return math.inf
-    return mu * max(0.0, float(-np.log(gaps).sum()))
-
-
-def threshold_penalty_grad(thresholds: np.ndarray, mu: float) -> np.ndarray:
-    """Gradient of :func:`threshold_penalty`; raises on infeasible ordering."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    grad = np.zeros_like(thresholds)
-    if thresholds.size < 2 or mu == 0.0:
-        return grad
-    gaps = thresholds[1:] - thresholds[:-1]
-    if (gaps <= 0.0).any():
+    barrier = math.inf if (gaps <= 0.0).any() else float(-np.log(gaps).sum())
+    penalty = mu * max(0.0, barrier)
+    if not math.isfinite(penalty):
         raise ValueError("thresholds are not strictly increasing; penalty is infinite")
-    if -np.log(gaps).sum() <= 0.0:
-        return grad  # clamped at zero
-    inv = mu / gaps
-    grad[:-1] += inv
-    grad[1:] -= inv
-    return grad
+    grad_t = np.zeros_like(thresholds)
+    if mu != 0.0 and not barrier <= 0.0:  # a NaN barrier is not clamped either
+        inv = mu / gaps
+        grad_t[:-1] += inv
+        grad_t[1:] -= inv
+    return penalty, grad_t
 
 
 # Index of each estimator term, in the RiskBreakdown field order.
@@ -174,13 +163,12 @@ class RiskEvaluator:
     built once, so each evaluation is one margin matmul and one surrogate
     call.  Each part's four terms are weighted sums over row ranges, listed
     once in ``sums``; breakdowns and gradients use the same weights.  With
-    gamma = 0 and no ``need_lu`` the LU rows are left out.
+    gamma = 0 the LU rows are left out.
     """
 
     def __init__(self, dataset: OrdinalDataset, spec: RiskSpec, score_model: ScoreModel,
-                 need_lu: bool = False, val_dataset: OrdinalDataset | None = None):
+                 val_dataset: OrdinalDataset | None = None):
         self.spec = spec
-        self.need_lu = need_lu or spec.gamma > 0.0
         k = spec.removed_class
         blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (features, labels)
 
@@ -201,7 +189,7 @@ class RiskEvaluator:
             phi = score_model.features(ds.labeled_x)
             own = add_rows(phi, ds.labeled_y)
             self.sums.append([(_SV, own, 1.0 / ds.n_labeled)])
-            if self.need_lu:
+            if spec.gamma > 0.0:
                 counts = ds.class_counts()
                 missing = [y for y in range(1, ds.n_classes + 1) if y != k and counts[y - 1] == 0]
                 if missing:
@@ -223,8 +211,6 @@ class RiskEvaluator:
                 ]
         self.phi = np.vstack([b[0] for b in blocks])
         self.labels = np.concatenate([b[1] for b in blocks])
-        self.ys = dataset.labeled_y
-        self.phi_labeled = self.phi[: dataset.n_labeled]
 
         # Training-part row weights of gamma * (l1 + s * (u - l2)) +
         # (1 - gamma) * sv: s = 1, then the clamp's sign flip s = -1.
@@ -263,18 +249,15 @@ class RiskEvaluator:
         margins = self._margins(weights, thresholds)
         return surrogate_values(self.spec.surrogate, margins, self.labels)
 
-    def _values_only(self, weights: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        return self._terms(self.values(weights, thresholds))[0]
-
     def breakdown(self, weights: np.ndarray, thresholds: np.ndarray) -> RiskBreakdown:
         """Combined-estimator breakdown on the training part."""
-        return self._combine(self._values_only(weights, thresholds), self.spec.gamma)
+        return self._combine(self._terms(self.values(weights, thresholds))[0], self.spec.gamma)
 
     def lu_breakdown(self, weights: np.ndarray, thresholds: np.ndarray) -> RiskBreakdown:
         """Labeled-unlabeled breakdown alone (the gamma = 1 total)."""
-        if not self.need_lu:
+        if self.spec.gamma == 0.0:
             raise ValueError("evaluator was built without the labeled-unlabeled terms")
-        return self._combine(self._values_only(weights, thresholds), 1.0)
+        return self._combine(self._terms(self.values(weights, thresholds))[0], 1.0)
 
     def evaluate(self, weights: np.ndarray, thresholds: np.ndarray) -> Evaluation:
         """Training risk, its gradients and the validation risk in one call."""
@@ -296,18 +279,8 @@ class RiskEvaluator:
         self, point: Evaluation, thresholds: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """(objective, d/dweights, d/dthresholds): ``point`` plus the order
-        penalty at ``thresholds``; ``ValueError`` if they are unordered.  One
-        pass over the gaps gives :func:`threshold_penalty` and its gradient."""
-        mu, gaps = self.spec.mu, thresholds[1:] - thresholds[:-1]
-        barrier = math.inf if (gaps <= 0.0).any() else float(-np.log(gaps).sum())
-        penalty = mu * max(0.0, barrier)
-        if not math.isfinite(penalty):
-            raise ValueError("thresholds are not strictly increasing; penalty is infinite")
-        grad_t = np.zeros_like(thresholds)
-        if mu != 0.0 and not barrier <= 0.0:  # a NaN barrier is not clamped either
-            inv = mu / gaps
-            grad_t[:-1] += inv
-            grad_t[1:] -= inv
+        penalty at ``thresholds``; ``ValueError`` if they are unordered."""
+        penalty, grad_t = threshold_penalty(thresholds, self.spec.mu)
         return point.risk + penalty, point.grad_w, point.grad_t + grad_t
 
     def objective_grad(
@@ -335,26 +308,8 @@ def supervised_risk(
 
 def lu_risk(model: OrdinalModel, dataset: OrdinalDataset, spec: RiskSpec) -> RiskBreakdown:
     """LU estimator at the model's parameters (gamma plays no role here)."""
-    ev = RiskEvaluator(dataset, spec, model.score, need_lu=True)
+    ev = RiskEvaluator(dataset, replace(spec, gamma=1.0), model.score)
     return ev.lu_breakdown(model.score.weights, model.thresholds)
-
-
-def semi_risk(model: OrdinalModel, dataset: OrdinalDataset, spec: RiskSpec) -> RiskBreakdown:
-    """Combined estimator gamma * LU + (1 - gamma) * supervised."""
-    ev = RiskEvaluator(dataset, spec, model.score)
-    return ev.breakdown(model.score.weights, model.thresholds)
-
-
-def risk_grad(
-    model: OrdinalModel, dataset: OrdinalDataset, spec: RiskSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of (combined risk + order penalty) over all parameters.
-
-    Returns (d/dweights, d/dthresholds).  See
-    :meth:`RiskEvaluator.objective_grad` for the clamp handling.
-    """
-    ev = RiskEvaluator(dataset, spec, model.score)
-    return ev.objective_grad(model.score.weights, model.thresholds)[1:]
 
 
 def variance_ratio(
@@ -384,7 +339,7 @@ def variance_ratio(
         raise ValueError("dataset is smaller than the requested resample sizes")
     if n_unl < 1:
         raise ValueError("the LU estimator needs at least one unlabeled point")
-    ev = RiskEvaluator(dataset, spec, model.score, need_lu=True)
+    ev = RiskEvaluator(dataset, replace(spec, gamma=1.0), model.score)
     values = ev.values(model.score.weights, model.thresholds)
     rows = {term: values[r] for term, r, _ in ev.sums[0]}
     own, unl, own_k = rows[_SV], rows[_U], rows[_L2]  # own label; pool and labeled under k

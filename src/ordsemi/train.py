@@ -126,21 +126,20 @@ def fit(
     )
 
 
+_SPLIT_ATTEMPTS = 10
+
+
 def _split_labeled(
-    dataset: OrdinalDataset, spec: RiskSpec, seed: int, attempts: int = 10
+    dataset: OrdinalDataset, spec: RiskSpec, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """2:1 labeled hold-out; both parts must cover the classes the spec keeps."""
     n = dataset.n_labeled
     n_train = (2 * n) // 3
     if n_train < 1 or n - n_train < 1:
         raise ValueError(f"cannot split {n} labeled points 2:1")
-    if spec.gamma > 0:
-        required = [
-            y for y in range(1, dataset.n_classes + 1) if y != spec.removed_class
-        ]
-    else:
-        required = []
-    for attempt in range(attempts):
+    kept = range(1, dataset.n_classes + 1) if spec.gamma > 0 else ()
+    required = [y for y in kept if y != spec.removed_class]
+    for attempt in range(_SPLIT_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         perm = rng.permutation(n)
         tr, va = perm[:n_train], perm[n_train:]
@@ -149,7 +148,7 @@ def _split_labeled(
             return tr, va
     raise ValueError(
         f"could not split 2:1 with classes {required} in both parts "
-        f"after {attempts} attempts"
+        f"after {_SPLIT_ATTEMPTS} attempts"
     )
 
 

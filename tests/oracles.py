@@ -2,18 +2,60 @@
 
 A finite discrete distribution is a list of (x, y, prob) triples with probs
 summing to 1.  Everything here evaluates expectations by direct summation,
-independently of the estimator implementations under test.
+independently of the estimator implementations under test.  Also here are
+the independent helpers that only tests use: the margin form of the
+absolute error, the linear-odd detector, and the trial-record parser.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 
+from ordsemi.bench import TrialResult
 from ordsemi.core import OrdinalDataset, OrdinalModel, margins_matrix
-from ordsemi.losses import TaskSurrogate, surrogate_values
+from ordsemi.losses import TaskSurrogate, binary_loss, surrogate_values
+
+# Probe grid for detecting whether ell(z) - ell(-z) is exactly -C*z.
+_ODD_PROBE = np.array([0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0])
+
+
+def absolute_error_from_margins(margin_vec: np.ndarray, y: int) -> float:
+    """Absolute error |y - predicted| computed from threshold margins alone.
+
+    Counts thresholds on the wrong side of the score for label y: margins
+    with index below y that are >= 0, plus margins with index >= y that
+    are < 0.  Equals |y - predict_batch(...)| exactly, ties included.
+    """
+    m = np.asarray(margin_vec, dtype=float)
+    n_classes = m.size + 1
+    if not 1 <= y <= n_classes:
+        raise ValueError(f"label {y} out of range 1..{n_classes}")
+    below = int(np.sum(m[: y - 1] >= 0))
+    above = int(np.sum(m[y - 1 :] < 0))
+    return float(below + above)
+
+
+def linear_odd_constant(kind: str, tol: float = 1e-9) -> float | None:
+    """C > 0 with ell(z) - ell(-z) = -C*z on the probe grid, or None.
+
+    Surrogates with this property keep the labeled difference terms of the
+    semi-supervised risk linear, which preserves convexity of the training
+    objective.
+    """
+    diff = binary_loss(kind, _ODD_PROBE)[0] - binary_loss(kind, -_ODD_PROBE)[0]
+    c = -diff / _ODD_PROBE
+    if np.all(np.abs(diff + c[0] * _ODD_PROBE) <= tol) and c[0] > 0:
+        return float(c[0])
+    return None
+
+
+def trial_result_from_json(line: str) -> TrialResult:
+    """Inverse of ``TrialResult.to_json``."""
+    return TrialResult(**json.loads(line))
 
 
 def population_surrogate_risk(model: OrdinalModel, psi: TaskSurrogate, dist) -> float:

@@ -17,22 +17,19 @@ from ordsemi.cli import main as cli_main
 from ordsemi.core import (
     OrdinalDataset,
     OrdinalModel,
-    absolute_error_from_margins,
     evaluate_metric,
     margins_matrix,
     predict_batch,
 )
 from ordsemi.data import SplitSpec, make_splits, synthetic_ordinal_table
-from ordsemi.losses import TaskSurrogate, linear_odd_constant, surrogate_values
+from ordsemi.losses import TaskSurrogate, surrogate_values
 from ordsemi.models import LinearScore, init_model
 from ordsemi.risk import (
     RiskEvaluator,
     RiskSpec,
     estimate_priors,
     replace_params,
-    risk_grad,
     select_removed_class,
-    semi_risk,
     supervised_risk,
     threshold_penalty,
     variance_ratio,
@@ -40,7 +37,9 @@ from ordsemi.risk import (
 from ordsemi.train import TrainConfig, fit, select_hyperparams
 from ordsemi.bench import build_spec
 from oracles import (
+    absolute_error_from_margins,
     enumerate_lu_mean,
+    linear_odd_constant,
     population_lu_risk,
     population_surrogate_risk,
 )
@@ -50,6 +49,15 @@ AT_LOG = TaskSurrogate("at", "logistic")
 
 def _report(number: int, name: str) -> None:
     print(f"ACCEPTANCE {number:02d} {name}: PASS")
+
+
+def breakdown(model, ds, spec):
+    return RiskEvaluator(ds, spec, model.score).breakdown(model.score.weights, model.thresholds)
+
+
+def gradients(model, ds, spec):
+    ev = RiskEvaluator(ds, spec, model.score)
+    return ev.objective_grad(model.score.weights, model.thresholds)[1:]
 
 
 def scalar_model(value: float, thresholds) -> OrdinalModel:
@@ -146,7 +154,7 @@ def test_c03_estimator_unbiasedness_by_enumeration():
         spec = RiskSpec(AT_LOG, k, pri, gamma=1.0, mu=0.0, non_negative=False)
 
         def estimate(ds, spec=spec):
-            return semi_risk(model, ds, spec).total
+            return breakdown(model, ds, spec).total
 
         mean = enumerate_lu_mean(
             model, AT_LOG, dist, 3, class_sizes=(2, 2, 2), n_unlabeled=3, k=k, lu_fn=estimate
@@ -190,7 +198,7 @@ def _gradient_config(rng, psi_kind, binary, model_kind, nn):
         gap_sum = -np.log(np.diff(th)).sum()
         if abs(gap_sum) < 1e-3:
             continue
-        b = semi_risk(model, ds, spec)
+        b = breakdown(model, ds, spec)
         bracket = b.unlabeled - b.bias_correction
         if nn and bracket < 0.05:
             continue  # clamp boundary: resample
@@ -212,12 +220,12 @@ def test_c04_gradient_matches_finite_differences():
     assert len(combos) == 50
 
     def objective(model, ds, spec):
-        b = semi_risk(model, ds, spec)
-        return b.total + threshold_penalty(model.thresholds, spec.mu)
+        b = breakdown(model, ds, spec)
+        return b.total + threshold_penalty(model.thresholds, spec.mu)[0]
 
     for psi_kind, binary, model_kind, nn in combos:
         ds, spec, model = _gradient_config(rng, psi_kind, binary, model_kind, nn)
-        gw, gt = risk_grad(model, ds, spec)
+        gw, gt = gradients(model, ds, spec)
         w, th = model.score.weights, model.thresholds
         for i in range(w.size):
             up, dn = w.copy(), w.copy()
@@ -262,7 +270,7 @@ def _midpoint_convexity_violations(psi, n_pairs=1000, seed=106, cell=None):
     rng = np.random.default_rng(seed)
 
     def j(w, th):
-        return ev.breakdown(w, th).total + threshold_penalty(th, spec.mu)
+        return ev.breakdown(w, th).total + threshold_penalty(th, spec.mu)[0]
 
     worst = -np.inf
     violations = 0
@@ -273,8 +281,8 @@ def _midpoint_convexity_violations(psi, n_pairs=1000, seed=106, cell=None):
         tha[1] = max(tha[1], tha[0] + 1e-3)
         thb[1] = max(thb[1], thb[0] + 1e-3)
         if cell is not None:
-            home = cell(ev, wa, tha)
-            while not np.array_equal(cell(ev, wb, thb), home):
+            home = cell(ev, ds, wa, tha)
+            while not np.array_equal(cell(ev, ds, wb, thb), home):
                 wb, thb = (wa + wb) / 2, (tha + thb) / 2
         gap = j((wa + wb) / 2, (tha + thb) / 2) - (j(wa, tha) + j(wb, thb)) / 2
         worst = max(worst, gap)
@@ -283,15 +291,15 @@ def _midpoint_convexity_violations(psi, n_pairs=1000, seed=106, cell=None):
     return violations, worst
 
 
-def _lad_sign_cell(ev, w, th):
-    """Signs of k + m_1 - 1.5 over the labeled rows the LU estimator keeps.
+def _lad_sign_cell(ev, ds, w, th):
+    """Signs of k + m_1 - 1.5 over the labeled rows of ``ds`` the LU estimator keeps.
 
     With these signs fixed the bias correction -sum c_i |k + m_1(x_i) - 1.5|
     is linear in (w, t_1), so the lad objective is convex on the cell.
     """
     k = ev.spec.removed_class
-    kept = ev.ys != k
-    m1 = th[0] - ev.phi_labeled[kept] @ w
+    kept = ds.labeled_y != k
+    m1 = th[0] - ev.phi[: ds.n_labeled][kept] @ w
     return np.sign(k + m1 - 1.5)
 
 

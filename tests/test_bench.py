@@ -20,6 +20,7 @@ from ordsemi.core import OrdinalDataset, evaluate_metric
 from ordsemi.data import SplitSpec, make_splits, synthetic_ordinal_table
 from ordsemi.losses import TaskSurrogate
 from ordsemi.train import TrainConfig, select_hyperparams
+from oracles import trial_result_from_json
 
 AT_LOG = TaskSurrogate("at", "logistic")
 FAST = TrainConfig(learning_rate=0.05, patience=20, max_epochs=60, seed=0)
@@ -66,7 +67,7 @@ class TestBuildSpec:
 class TestTrialResult:
     def test_json_roundtrip_lossless(self):
         r = TrialResult("cars", "semi2-linear", "at", "MAE", 0.12345678901234567, 7)
-        again = TrialResult.from_json(r.to_json())
+        again = trial_result_from_json(r.to_json())
         assert again == r
 
     def test_negative_value_rejected(self):

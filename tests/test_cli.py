@@ -123,6 +123,13 @@ class TestVariance:
         assert surrogate == "at" and dataset == "toy"
         assert float(ratio) > 0
 
+    @pytest.mark.parametrize("flag, value", [("--gamma", "0.5"), ("--lr", "0.1")])
+    def test_training_flags_rejected(self, toy_csv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["variance", "--data", str(toy_csv), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
 
 class TestBench:
     def test_outputs_and_determinism(self, toy_csv, tmp_path, capsys):

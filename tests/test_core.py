@@ -6,13 +6,13 @@ import pytest
 from ordsemi.core import (
     OrdinalDataset,
     OrdinalModel,
-    absolute_error_from_margins,
     evaluate_metric,
     margins_matrix,
     predict_batch,
     task_loss_batch,
 )
 from ordsemi.models import LinearScore
+from oracles import absolute_error_from_margins
 
 
 def linear_model(weights, bias, thresholds):

@@ -9,10 +9,10 @@ from ordsemi.losses import (
     BINARY_KINDS,
     TaskSurrogate,
     binary_loss,
-    linear_odd_constant,
     surrogate_values,
     surrogate_values_grads,
 )
+from oracles import absolute_error_from_margins, linear_odd_constant
 
 
 class TestBinaryValue:
@@ -33,6 +33,13 @@ class TestBinaryValue:
         assert np.isfinite(binary_loss("logistic", -1e4)[0])
         assert binary_loss("logistic", 1e4)[0] == 0.0
         assert binary_loss("logistic", -1e4)[0] == pytest.approx(1e4)
+
+    def test_exponential_overflow_raises(self):
+        assert np.isfinite(binary_loss("exponential", -709.0)[0])
+        with pytest.raises(ValueError, match="exponential loss overflows at margin -800.0"):
+            binary_loss("exponential", -800.0)
+        with pytest.raises(ValueError, match="overflows"):
+            binary_loss("exponential", np.array([0.0, -800.0]))
 
     def test_all_nonnegative(self):
         z = np.linspace(-30, 30, 301)
@@ -128,8 +135,6 @@ class TestTaskSurrogateValue:
     def test_at_with_indicator_matches_absolute_error(self):
         # substituting 1[z < 0] for the binary surrogate turns the
         # all-threshold sum into the margin form of the absolute error
-        from ordsemi.core import absolute_error_from_margins
-
         rng = np.random.default_rng(3)
         for _ in range(1000):
             n_classes = int(rng.integers(2, 7))

@@ -11,17 +11,15 @@ from ordsemi.core import OrdinalDataset, OrdinalModel
 from ordsemi.losses import TaskSurrogate, surrogate_values_grads
 from ordsemi.models import LinearScore, init_model
 from ordsemi.risk import (
+    Evaluation,
     RiskEvaluator,
     RiskSpec,
     estimate_priors,
     lu_risk,
     replace_params,
-    risk_grad,
     select_removed_class,
-    semi_risk,
     supervised_risk,
     threshold_penalty,
-    threshold_penalty_grad,
     variance_ratio,
 )
 from oracles import population_lu_risk, population_surrogate_risk
@@ -106,6 +104,15 @@ def make_spec(ds, k=2, gamma=0.8, mu=10.0, nn=False, psi=AT_LOG):
     return RiskSpec(psi, k, estimate_priors(ds), gamma=gamma, mu=mu, non_negative=nn)
 
 
+def breakdown(model, ds, spec):
+    return RiskEvaluator(ds, spec, model.score).breakdown(model.score.weights, model.thresholds)
+
+
+def gradients(model, ds, spec):
+    ev = RiskEvaluator(ds, spec, model.score)
+    return ev.objective_grad(model.score.weights, model.thresholds)[1:]
+
+
 class TestLuRisk:
     def test_constant_loss_cancellation(self, monkeypatch):
         # with psi identically c the three pieces collapse and total = c
@@ -132,6 +139,18 @@ class TestLuRisk:
             b = lu_risk(model, ds, make_spec(ds, k=k))
             sv = supervised_risk(model, ds.labeled_x, ds.labeled_y, AT_LOG)
             assert b.total == pytest.approx(sv, abs=1e-12)
+
+    def test_gamma_plays_no_role(self):
+        ds = small_dataset(5)
+        model = random_model(5)
+        assert lu_risk(model, ds, make_spec(ds, gamma=0.0)) == lu_risk(model, ds, make_spec(ds))
+
+    def test_lu_breakdown_needs_lu_rows(self):
+        ds = small_dataset(5)
+        model = random_model(5)
+        ev = RiskEvaluator(ds, make_spec(ds, gamma=0.0), model.score)
+        with pytest.raises(ValueError, match="without the labeled-unlabeled terms"):
+            ev.lu_breakdown(model.score.weights, model.thresholds)
 
     def test_missing_kept_class_errors(self):
         ds = OrdinalDataset(
@@ -194,7 +213,7 @@ class TestSemiRisk:
     def test_gamma_zero_equals_supervised(self):
         ds = small_dataset(6)
         model = random_model(6)
-        b = semi_risk(model, ds, make_spec(ds, gamma=0.0))
+        b = breakdown(model, ds, make_spec(ds, gamma=0.0))
         sv = supervised_risk(model, ds.labeled_x, ds.labeled_y, AT_LOG)
         assert b.total == sv
         assert (b.labeled_main, b.unlabeled, b.bias_correction) == (0.0, 0.0, 0.0)
@@ -202,7 +221,7 @@ class TestSemiRisk:
     def test_gamma_one_equals_lu(self):
         ds = small_dataset(7)
         model = random_model(7)
-        assert semi_risk(model, ds, make_spec(ds, gamma=1.0)).total == pytest.approx(
+        assert breakdown(model, ds, make_spec(ds, gamma=1.0)).total == pytest.approx(
             lu_risk(model, ds, make_spec(ds, gamma=1.0)).total, abs=1e-15
         )
 
@@ -211,7 +230,7 @@ class TestSemiRisk:
         model = random_model(8)
         for nn in (False, True):
             spec = make_spec(ds, gamma=0.8, nn=nn)
-            b = semi_risk(model, ds, spec)
+            b = breakdown(model, ds, spec)
             bracket = b.unlabeled - b.bias_correction
             if nn:
                 bracket = max(0.0, bracket)
@@ -222,17 +241,17 @@ class TestSemiRisk:
         ds = small_dataset(9)
         model = random_model(9, scale=2.0)
         spec = make_spec(ds, nn=True)
-        b = semi_risk(model, ds, spec)
+        b = breakdown(model, ds, spec)
         assert max(0.0, b.unlabeled - b.bias_correction) >= 0.0
         if b.unlabeled >= b.bias_correction:
-            plain = semi_risk(model, ds, replace(spec, non_negative=False))
+            plain = breakdown(model, ds, replace(spec, non_negative=False))
             assert b.total == pytest.approx(plain.total, abs=1e-15)
 
     def test_nn_total_at_least_clamped_floor(self):
         ds = small_dataset(10)
         for seed in range(5):
             model = random_model(seed, scale=1.5)
-            b = semi_risk(model, ds, make_spec(ds, nn=True))
+            b = breakdown(model, ds, make_spec(ds, nn=True))
             assert b.total >= 0.8 * b.labeled_main + 0.2 * b.supervised - 1e-12
 
 
@@ -262,7 +281,7 @@ class TestUnbiasedness:
                 spec = RiskSpec(psi, k, pri, gamma=gamma, mu=0.0, non_negative=False)
 
                 def estimate(ds, spec=spec):
-                    b = semi_risk(model, ds, spec)
+                    b = breakdown(model, ds, spec)
                     return b.total
 
                 mean = enumerate_lu_mean(
@@ -273,21 +292,22 @@ class TestUnbiasedness:
 
 class TestThresholdPenalty:
     def test_unit_gap_is_free(self):
-        assert threshold_penalty(np.array([0.0, 1.0]), 10.0) == 0.0
+        assert threshold_penalty(np.array([0.0, 1.0]), 10.0)[0] == 0.0
 
     def test_half_gap(self):
-        val = threshold_penalty(np.array([0.0, 0.5]), 10.0)
+        val = threshold_penalty(np.array([0.0, 0.5]), 10.0)[0]
         assert val == pytest.approx(-10 * math.log(0.5), rel=1e-12)
 
     def test_wide_gap_clamped(self):
-        assert threshold_penalty(np.array([0.0, 10.0]), 10.0) == 0.0
+        assert threshold_penalty(np.array([0.0, 10.0]), 10.0)[0] == 0.0
 
     def test_single_threshold_zero(self):
-        assert threshold_penalty(np.array([0.3]), 10.0) == 0.0
+        assert threshold_penalty(np.array([0.3]), 10.0)[0] == 0.0
 
     def test_infeasible_is_infinite(self):
-        assert threshold_penalty(np.array([1.0, 0.5]), 10.0) == math.inf
-        assert threshold_penalty(np.array([1.0, 1.0]), 10.0) == math.inf
+        for thresholds in ([1.0, 0.5], [1.0, 1.0], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="penalty is infinite"):
+                threshold_penalty(np.array(thresholds), 10.0)
 
     def test_whole_sum_clamped_not_per_gap(self):
         # one tight gap, one wide gap: the negative log of the wide gap may
@@ -295,7 +315,7 @@ class TestThresholdPenalty:
         thresholds = np.array([0.0, 0.5, 20.0])
         total = -math.log(0.5) - math.log(19.5)
         assert total < 0
-        assert threshold_penalty(thresholds, 10.0) == 0.0
+        assert threshold_penalty(thresholds, 10.0)[0] == 0.0
 
     def test_grad_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -306,17 +326,34 @@ class TestThresholdPenalty:
             s = -np.log(np.diff(th)).sum()
             if abs(s) < 1e-3:
                 continue
-            grad = threshold_penalty_grad(th, 10.0)
+            grad = threshold_penalty(th, 10.0)[1]
             for i in range(4):
                 up, dn = th.copy(), th.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (threshold_penalty(up, 10.0) - threshold_penalty(dn, 10.0)) / (2 * h)
+                fd = (threshold_penalty(up, 10.0)[0] - threshold_penalty(dn, 10.0)[0]) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
-    def test_grad_infeasible_raises(self):
-        with pytest.raises(ValueError):
-            threshold_penalty_grad(np.array([1.0, 0.0]), 10.0)
+    @pytest.mark.parametrize(
+        "thresholds, penalty, grad",
+        [
+            ([0.0, 0.5], -10 * math.log(0.5), [20.0, -20.0]),  # ordered
+            ([0.0, 10.0], 0.0, [0.0, 0.0]),  # clamped
+            ([0.3], 0.0, [0.0]),  # single threshold
+        ],
+        ids=["ordered", "clamped", "single"],
+    )
+    def test_is_what_penalized_adds(self, thresholds, penalty, grad):
+        th = np.array(thresholds)
+        ds = small_dataset(12)
+        spec = make_spec(ds, mu=10.0)
+        ev = RiskEvaluator(ds, spec, init_model("linear", 3, 3).score)
+        point = Evaluation(0.0, np.zeros(4), np.zeros_like(th), None)
+        objective, _, grad_t = ev.penalized(point, th)
+        value, grad_penalty = threshold_penalty(th, spec.mu)
+        assert (objective, grad_t.tolist()) == (value, grad_penalty.tolist())
+        assert value == pytest.approx(penalty, rel=1e-12)
+        np.testing.assert_allclose(grad_penalty, grad, rtol=1e-12)
 
 
 class TestSelectRemovedClass:
@@ -347,8 +384,8 @@ class TestSelectRemovedClass:
 
 
 def objective(model, ds, spec):
-    b = semi_risk(model, ds, spec)
-    return b.total + threshold_penalty(model.thresholds, spec.mu)
+    b = breakdown(model, ds, spec)
+    return b.total + threshold_penalty(model.thresholds, spec.mu)[0]
 
 
 class TestRiskGrad:
@@ -360,7 +397,7 @@ class TestRiskGrad:
         ):
             model = random_model(20 + seed)
             spec = make_spec(ds, psi=psi, nn=False)
-            gw, gt = risk_grad(model, ds, spec)
+            gw, gt = gradients(model, ds, spec)
             w, th = model.score.weights, model.thresholds
             for i in range(w.size):
                 up, dn = w.copy(), w.copy()
@@ -385,7 +422,7 @@ class TestRiskGrad:
         ds = small_dataset(14)
         model = random_model(14)
         spec = make_spec(ds, gamma=0.0, mu=0.0)
-        gw, gt = risk_grad(model, ds, spec)
+        gw, gt = gradients(model, ds, spec)
         ev = RiskEvaluator(ds, spec, model.score)
         # supervised-only evaluator gives the same gradients
         _, gw2, gt2 = ev.objective_grad(model.score.weights, model.thresholds)
@@ -405,7 +442,7 @@ class TestRiskGrad:
         ds = small_dataset(15)
         model = random_model(15)
         spec = make_spec(ds, gamma=1.0, mu=0.0)
-        gw, gt = risk_grad(model, ds, spec)
+        gw, gt = gradients(model, ds, spec)
         np.testing.assert_allclose(gw, 0.0, atol=1e-15)
         np.testing.assert_allclose(gt, 0.0, atol=1e-15)
 
@@ -417,15 +454,15 @@ class TestRiskGrad:
         for seed in range(200):
             model = random_model(seed, scale=1.5)
             spec = make_spec(ds, nn=True, mu=0.0)
-            b = semi_risk(model, ds, spec)
+            b = breakdown(model, ds, spec)
             if b.unlabeled - b.bias_correction < -0.05:
                 found = True
                 break
         assert found, "no clamped configuration sampled"
-        gw, gt = risk_grad(model, ds, spec)
+        gw, gt = gradients(model, ds, spec)
 
         def descent_surface(m):
-            bb = semi_risk(m, ds, replace(spec, non_negative=False))
+            bb = breakdown(m, ds, replace(spec, non_negative=False))
             return (
                 spec.gamma * (bb.labeled_main + abs(bb.unlabeled - bb.bias_correction))
                 + (1 - spec.gamma) * bb.supervised
@@ -447,7 +484,7 @@ class TestRiskGrad:
         ds = small_dataset(17)
         model = replace_params(random_model(17), np.zeros(4), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            risk_grad(model, ds, make_spec(ds))
+            gradients(model, ds, make_spec(ds))
 
 
 class TestAffineDifferenceAndConvexity:
@@ -480,7 +517,7 @@ class TestAffineDifferenceAndConvexity:
         rng = np.random.default_rng(19)
 
         def j(w, th):
-            return ev.breakdown(w, th).total + threshold_penalty(th, spec.mu)
+            return ev.breakdown(w, th).total + threshold_penalty(th, spec.mu)[0]
 
         for _ in range(300):
             wa, wb = rng.normal(size=(2, 4))

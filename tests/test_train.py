@@ -7,7 +7,7 @@ import ordsemi.risk as risk_mod
 from ordsemi.core import OrdinalDataset, evaluate_metric
 from ordsemi.losses import TaskSurrogate
 from ordsemi.models import init_model
-from ordsemi.risk import RiskEvaluator, RiskSpec, estimate_priors, semi_risk, threshold_penalty
+from ordsemi.risk import RiskEvaluator, RiskSpec, estimate_priors, replace_params, threshold_penalty
 from ordsemi.train import (
     TrainConfig,
     TrainingDiverged,
@@ -36,6 +36,10 @@ def gaussian_dataset(seed=0, n_per_class=6, n_unlabeled=40, d=3):
     y = np.repeat([1, 2, 3], n_per_class)
     u = rng.normal(size=(n_unlabeled, d))
     return OrdinalDataset(x, y, u, 3)
+
+
+def breakdown(model, ds, spec):
+    return RiskEvaluator(ds, spec, model.score).breakdown(model.score.weights, model.thresholds)
 
 
 def spec_for(ds, gamma=0.8, mu=10.0, nn=True, k=None):
@@ -81,7 +85,7 @@ class TestFit:
         config = TrainConfig(max_epochs=300, seed=3)
         report = fit(ds, val, spec, config, init_model("linear", 3, 3))
         assert report.best_val == min(v for _, v in report.val_curve)
-        recomputed = semi_risk(report.model, val, spec).total
+        recomputed = breakdown(report.model, val, spec).total
         assert recomputed == pytest.approx(report.best_val, abs=1e-12)
 
     def test_deterministic(self):
@@ -111,9 +115,9 @@ class TestFit:
         model0 = init_model("linear", 3, 3)
         config = TrainConfig(max_epochs=150, seed=5)
         report = fit(ds, ds, spec, config, model0)
-        b = semi_risk(report.model, ds, spec)
+        b = breakdown(report.model, ds, spec)
         floor = spec.gamma * b.labeled_main + (1 - spec.gamma) * b.supervised
-        assert b.total + threshold_penalty(report.model.thresholds, spec.mu) >= floor - 1e-12
+        assert b.total + threshold_penalty(report.model.thresholds, spec.mu)[0] >= floor - 1e-12
 
     def test_infeasible_initial_thresholds_error(self):
         ds = gaussian_dataset(6)
@@ -137,6 +141,16 @@ class TestFit:
         config = TrainConfig(learning_rate=1e4, patience=50, max_epochs=50, seed=7)
         with pytest.raises((TrainingDiverged, ValueError)):
             fit(ds, ds, spec, config, init_model("linear", 3, 3))
+
+    def test_exponential_overflow_is_named(self):
+        # a score of 1000 puts every label-1 margin near -1000, where e^-z
+        # overflows: the fit reports the overflow, not a divergence
+        ds = gaussian_dataset(7)
+        spec = RiskSpec(TaskSurrogate("at", "exponential"), 2, estimate_priors(ds), gamma=0.8)
+        model0 = init_model("linear", 3, 3)
+        far = replace_params(model0, np.array([0.0, 0.0, 0.0, 1000.0]), model0.thresholds)
+        with pytest.raises(ValueError, match="exponential loss overflows"):
+            fit(ds, ds, spec, TrainConfig(seed=7), far)
 
 
 class TestFitEvaluations:
